@@ -70,7 +70,7 @@ pub struct FunctionalBistConfig {
     pub fix_preflight: bool,
     /// Deviation metric for constrained generation.
     pub metric: DeviationMetric,
-    /// Speculative seed-search tunables (batch size, worker threads). Any
+    /// Speculative seed-search tunables (batch size, fault-sim threads). Any
     /// setting produces bit-identical outcomes; this only trades wasted
     /// speculative evaluations for wall-clock time.
     pub search: SearchOptions,

@@ -516,11 +516,7 @@ mod tests {
         let reference = generate_constrained(&net, bound, &serial_cfg);
         for (batch, threads) in [(2, 1), (4, 2), (16, 8)] {
             let cfg = FunctionalBistConfig {
-                search: SearchOptions {
-                    batch,
-                    threads,
-                    packed: true,
-                },
+                search: SearchOptions { batch, threads },
                 ..FunctionalBistConfig::smoke()
             };
             let out = generate_constrained(&net, bound, &cfg);

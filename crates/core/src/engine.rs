@@ -28,7 +28,8 @@ use std::time::Instant;
 use fbt_bist::{cube, Tpg, TpgSpec, Weight, WeightedTpg};
 use fbt_fault::{all_transition_faults, collapse, TransitionFault};
 use fbt_fault::{
-    BroadsideTest, FaultSimEngine, FaultSimOptions, TestGroup, TestSet, TwoPatternTest,
+    BroadsideTest, FaultSimEngine, FaultSimOptions, PackedParallelSim, TestGroup, TestSet,
+    TwoPatternTest,
 };
 use fbt_netlist::rng::Rng;
 use fbt_netlist::Netlist;
@@ -40,15 +41,15 @@ use crate::extract::{functional_tests, held_tests};
 use crate::outcome::{MultiSegmentSequence, Segment};
 use crate::policy::AdmissibilityPolicy;
 use crate::progress::Progress;
-use crate::search::{BatchEvaluator, SeedQueue};
+use crate::search::SeedQueue;
 use crate::stats::GenerationStats;
 use crate::FunctionalBistConfig;
 
 /// How a drawn seed becomes a primary-input sequence.
 ///
 /// Implementations must be pure: the engine evaluates candidates
-/// speculatively across worker threads, so `expand` must yield the same
-/// sequence for the same seed on every call.
+/// speculatively and re-expands requeued seeds, so `expand` must yield the
+/// same sequence for the same seed on every call.
 pub trait SeedSource: Sync {
     /// Expand `seed` into a primary-input sequence of `len` cycles.
     fn expand(&self, seed: u64, len: usize) -> Vec<Bits>;
@@ -346,7 +347,7 @@ struct Candidate {
 }
 
 /// The unified seed-search engine: owns the collapsed fault list, its lint
-/// preflight projection and the speculative batch evaluator, and runs the
+/// preflight projection and the fault-simulation engine, and runs the
 /// Fig. 4.9 construction loop under any policy combination.
 #[derive(Debug)]
 pub struct GenerationEngine<'n> {
@@ -355,9 +356,11 @@ pub struct GenerationEngine<'n> {
     faults: Vec<TransitionFault>,
     active_faults: Vec<TransitionFault>,
     active_idx: Vec<usize>,
-    evaluator: BatchEvaluator<'n>,
+    /// The fault simulator every round and compaction pass runs on; its
+    /// lazily built fanout-cone caches amortize over the whole search.
+    fsim: PackedParallelSim<'n>,
     /// Compiled-kernel cache activity attributable to this engine's
-    /// construction (global-counter delta around the evaluator build).
+    /// construction (global-counter delta around the simulator build).
     kernel_stats: fbt_sim::kernel::CacheStats,
     /// Observation/cancellation handle for `construct` runs. The default
     /// handle is never cancelled and nobody observes it, so attaching one
@@ -393,7 +396,7 @@ impl<'n> GenerationEngine<'n> {
         let (active_faults, active_idx) =
             crate::preflight::project_active(net, &faults, lint_preflight);
         let kernel_before = fbt_sim::kernel::cache_stats();
-        let evaluator = BatchEvaluator::new(net, &cfg.search);
+        let fsim = PackedParallelSim::new(net);
         let kernel_stats = fbt_sim::kernel::cache_stats().since(&kernel_before);
         GenerationEngine {
             net,
@@ -401,7 +404,7 @@ impl<'n> GenerationEngine<'n> {
             faults,
             active_faults,
             active_idx,
-            evaluator,
+            fsim,
             kernel_stats,
             progress: Progress::default(),
         }
@@ -441,7 +444,7 @@ impl<'n> GenerationEngine<'n> {
     /// flags) as commits happen.
     ///
     /// Candidates are drawn from `rng` via the order-preserving
-    /// `SeedQueue` and evaluated speculatively in batches of
+    /// `SeedQueue` and evaluated in candidate-packed rounds of
     /// `cfg.search.batch`; results commit serially in draw order, so the
     /// outcome is bit-identical to the serial loop for every batch size and
     /// thread count.
@@ -475,27 +478,20 @@ impl<'n> GenerationEngine<'n> {
             "detection flags length mismatch"
         );
         let t0 = Instant::now();
-        let net = self.net;
         let cfg = self.cfg;
         let progress = self.progress.clone();
-        let evaluator = &mut self.evaluator;
-        let active_faults = &self.active_faults;
-        let active_idx = &self.active_idx;
-        let inner = evaluator.inner_threads();
         let mut queue = SeedQueue::new();
         let mut stats = GenerationStats {
-            faults_skipped_lint: self.faults.len() - active_faults.len(),
+            faults_skipped_lint: self.faults.len() - self.active_faults.len(),
             kernel_builds: self.kernel_stats.builds,
             kernel_cache_hits: self.kernel_stats.hits,
             kernel_build_wall: self.kernel_stats.build_wall,
             ..GenerationStats::default()
         };
 
-        // The candidate-packed fast path needs the policy to derive each
-        // lane's prefix from its switching-activity trace; policies that
-        // probe per-cycle node values (e.g. signal-transition patterns)
-        // keep the legacy per-candidate passes.
-        let use_packed = cfg.search.packed && policy.admissible_prefix_from_trace(&[], 0).is_some();
+        // Asked once per run: does the policy derive a prefix from a lane's
+        // switching-activity trace, or must each lane be probed?
+        let from_trace = policy.admissible_prefix_from_trace(&[], 0).is_some();
 
         let mut sequences: Vec<MultiSegmentSequence> = Vec::new();
         let mut kept: Vec<KeptSegment> = Vec::new();
@@ -524,82 +520,18 @@ impl<'n> GenerationEngine<'n> {
                 }
                 progress.publish(&stats);
                 let batch = queue.draw(rng, cfg.search.batch);
-                let snapshot: &[bool] = detected;
-                let start = &cur_state;
-                let evals = if use_packed {
-                    packed_round(
-                        net,
-                        cfg,
-                        source,
-                        policy,
-                        overlay,
-                        &batch,
-                        start,
-                        snapshot,
-                        active_faults,
-                        active_idx,
-                        evaluator,
-                    )
-                } else {
-                    evaluator.run(&batch, |engine, seed| {
-                        let pis = source.expand(seed, cfg.seq_len);
-                        let len = policy.admissible_prefix(net, start, &pis, overlay);
-                        if len < 2 {
-                            return Candidate {
-                                len,
-                                tests: overlay.empty_tests(),
-                                newly: Vec::new(),
-                                peak_swa: 0.0,
-                                next_state: None,
-                                cycles: policy.probe_cycles(cfg.seq_len),
-                            };
-                        }
-                        let prefix = &pis[..len];
-                        let (states, swa) = overlay.simulate(net, start, prefix);
-                        let tests = overlay.extract_tests(prefix, &states);
-                        // Simulate only the lint-surviving faults; report newly
-                        // detected ones as indices into the full list.
-                        let mut local: Vec<bool> =
-                            active_idx.iter().map(|&i| snapshot[i]).collect();
-                        let newly = engine
-                            .simulate(
-                                tests.as_set(),
-                                active_faults,
-                                &mut local,
-                                &FaultSimOptions::new().threads(inner),
-                            )
-                            .newly_detected;
-                        let newly = if newly > 0 {
-                            (0..local.len())
-                                .filter(|&j| local[j] && !snapshot[active_idx[j]])
-                                .map(|j| active_idx[j])
-                                .collect()
-                        } else {
-                            Vec::new()
-                        };
-                        Candidate {
-                            len,
-                            tests,
-                            newly,
-                            peak_swa: swa.iter().flatten().fold(0.0f64, |a, &b| a.max(b)),
-                            next_state: Some(states[len].clone()),
-                            cycles: policy.probe_cycles(cfg.seq_len) + len,
-                        }
-                    })
-                };
+                let evals = self.round(
+                    source, policy, from_trace, overlay, &batch, &cur_state, detected,
+                );
                 stats.evals += evals.len();
                 for ev in &evals {
                     stats.sim_cycles += ev.cycles;
                 }
-                // One group per fault-simulated candidate; the packed path
-                // submits the whole round as a single engine invocation.
+                // One group per fault-simulated candidate, all submitted as a
+                // single engine invocation.
                 let n_groups = evals.iter().filter(|e| e.len >= 2).count();
                 stats.candidate_groups += n_groups;
-                stats.fsim_calls += if use_packed {
-                    usize::from(n_groups > 0)
-                } else {
-                    n_groups
-                };
+                stats.fsim_calls += usize::from(n_groups > 0);
                 for (k, cand) in evals.into_iter().enumerate() {
                     if seed_failures >= opts.r_limit || seeds_tried >= cfg.max_seeds {
                         queue.requeue(&batch[k..]);
@@ -683,7 +615,7 @@ impl<'n> GenerationEngine<'n> {
         let mut kept_indices: Vec<usize> = Vec::new();
         let mut tests_applied = 0usize;
         let mut peak_swa = 0.0f64;
-        let fsim = self.evaluator.engine();
+        let fsim = &mut self.fsim;
         for (i, seg) in kept.iter().enumerate().rev() {
             let newly = fsim
                 .simulate(
@@ -716,140 +648,149 @@ impl<'n> GenerationEngine<'n> {
             peak_swa,
         }
     }
-}
 
-/// One candidate-packed speculative round.
-///
-/// **Stage A** expands every candidate seed and simulates all of them as
-/// lanes of one [`LaneSeqSim`] pass (chunks of 64 for larger batches): a
-/// single levelized evaluation per cycle serves the whole batch, and each
-/// lane's admissible prefix falls out of its switching-activity trace via
-/// [`AdmissibilityPolicy::admissible_prefix_from_trace`].
-///
-/// **Stage B** submits all admissible candidates as one grouped
-/// fault-simulation call: each candidate is an independent [`TestGroup`]
-/// credited against the shared detection snapshot, packed across the
-/// engine's 64 bit-lanes with lane-masked dropping. `until_first_accept`
-/// skips the words past the first accepting group — the commit loop
-/// discards those results anyway (their snapshots are stale).
-///
-/// Per-candidate results are identical to the legacy per-candidate passes:
-/// same prefix lengths, same tests, same newly-detected sets, bit-identical
-/// `peak_swa`, same logical cycle accounting.
-#[allow(clippy::too_many_arguments)]
-fn packed_round<S, P>(
-    net: &Netlist,
-    cfg: &FunctionalBistConfig,
-    source: &S,
-    policy: &P,
-    overlay: &StateOverlay,
-    seeds: &[u64],
-    start: &Bits,
-    snapshot: &[bool],
-    active_faults: &[TransitionFault],
-    active_idx: &[usize],
-    evaluator: &mut BatchEvaluator<'_>,
-) -> Vec<Candidate>
-where
-    S: SeedSource + ?Sized,
-    P: AdmissibilityPolicy + ?Sized,
-{
-    let seq_len = cfg.seq_len;
-    let probe = policy.probe_cycles(seq_len);
-    let mut cands: Vec<Candidate> = Vec::with_capacity(seeds.len());
-    for chunk in seeds.chunks(64) {
-        let lanes = chunk.len();
-        let pis: Vec<Vec<Bits>> = chunk.iter().map(|&s| source.expand(s, seq_len)).collect();
-        let mut sim = LaneSeqSim::new(net, lanes);
-        sim.broadcast_state(start);
-        // One flat buffer for the per-cycle packed states: cycle `c` lives at
-        // `[c * sw .. (c + 1) * sw]`. A single up-front allocation instead of
-        // `seq_len` small vectors per chunk.
-        let sw = sim.state_words().len();
-        let mut state_words: Vec<u64> = Vec::with_capacity(seq_len * sw);
-        let mut swa: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(seq_len); lanes];
-        // `c` indexes the inner (cycle) axis of `pis` inside the closure;
-        // there is no outer slice to iterate.
-        #[allow(clippy::needless_range_loop)]
-        for c in 0..seq_len {
-            sim.step_with(|l| &pis[l][c], overlay.hold_mask_at(c));
-            state_words.extend_from_slice(sim.state_words());
-            match sim.swa() {
-                Some(s) => {
-                    for (l, t) in swa.iter_mut().enumerate() {
-                        t.push(Some(s[l]));
+    /// One candidate-packed speculative round over `seeds`, evaluated
+    /// against `snapshot` (the detection flags) from state `start`.
+    ///
+    /// **Stage A** expands every candidate seed and simulates all of them as
+    /// lanes of one [`LaneSeqSim`] pass (chunks of 64 for larger batches): a
+    /// single levelized evaluation per cycle serves the whole batch. With
+    /// `from_trace`, each lane's admissible prefix falls out of its
+    /// switching-activity trace via
+    /// [`AdmissibilityPolicy::admissible_prefix_from_trace`]. Otherwise each
+    /// lane is probed with [`AdmissibilityPolicy::admissible_prefix`] first,
+    /// and the lane pass stops at the longest probed prefix.
+    ///
+    /// **Stage B** submits all admissible candidates as one grouped
+    /// fault-simulation call: each candidate is an independent [`TestGroup`]
+    /// credited against the shared detection snapshot, packed across the
+    /// engine's 64 bit-lanes with lane-masked dropping. `until_first_accept`
+    /// skips the words past the first accepting group — the commit loop
+    /// discards those results anyway (their snapshots are stale).
+    #[allow(clippy::too_many_arguments)]
+    fn round<S, P>(
+        &mut self,
+        source: &S,
+        policy: &P,
+        from_trace: bool,
+        overlay: &StateOverlay,
+        seeds: &[u64],
+        start: &Bits,
+        snapshot: &[bool],
+    ) -> Vec<Candidate>
+    where
+        S: SeedSource + ?Sized,
+        P: AdmissibilityPolicy + ?Sized,
+    {
+        let net = self.net;
+        let seq_len = self.cfg.seq_len;
+        let probe = policy.probe_cycles(seq_len);
+        let mut cands: Vec<Candidate> = Vec::with_capacity(seeds.len());
+        for chunk in seeds.chunks(64) {
+            let lanes = chunk.len();
+            let pis: Vec<Vec<Bits>> = chunk.iter().map(|&s| source.expand(s, seq_len)).collect();
+            let probed: Option<Vec<usize>> = (!from_trace).then(|| {
+                pis.iter()
+                    .map(|p| policy.admissible_prefix(net, start, p, overlay))
+                    .collect()
+            });
+            let sim_len = probed
+                .as_ref()
+                .map_or(seq_len, |lens| lens.iter().copied().max().unwrap_or(0));
+            let mut sim = LaneSeqSim::new(net, lanes);
+            sim.broadcast_state(start);
+            // One flat buffer for the per-cycle packed states: cycle `c`
+            // lives at `[c * sw .. (c + 1) * sw]`. A single up-front
+            // allocation instead of `sim_len` small vectors per chunk.
+            let sw = sim.state_words().len();
+            let mut state_words: Vec<u64> = Vec::with_capacity(sim_len * sw);
+            let mut swa: Vec<Vec<Option<f64>>> = vec![Vec::with_capacity(sim_len); lanes];
+            // `c` indexes the inner (cycle) axis of `pis` inside the closure;
+            // there is no outer slice to iterate.
+            #[allow(clippy::needless_range_loop)]
+            for c in 0..sim_len {
+                sim.step_with(|l| &pis[l][c], overlay.hold_mask_at(c));
+                state_words.extend_from_slice(sim.state_words());
+                match sim.swa() {
+                    Some(s) => {
+                        for (l, t) in swa.iter_mut().enumerate() {
+                            t.push(Some(s[l]));
+                        }
                     }
-                }
-                None => {
-                    for t in swa.iter_mut() {
-                        t.push(None);
+                    None => {
+                        for t in swa.iter_mut() {
+                            t.push(None);
+                        }
                     }
                 }
             }
-        }
-        for (l, seed_pis) in pis.iter().enumerate() {
-            let len = policy
-                .admissible_prefix_from_trace(&swa[l], seq_len)
-                .expect("packed path requires a trace-based policy");
-            if len < 2 {
+            for (l, seed_pis) in pis.iter().enumerate() {
+                let len = match &probed {
+                    Some(lens) => lens[l],
+                    None => policy
+                        .admissible_prefix_from_trace(&swa[l], seq_len)
+                        .expect("the policy answered from a trace once this run"),
+                };
+                if len < 2 {
+                    cands.push(Candidate {
+                        len,
+                        tests: overlay.empty_tests(),
+                        newly: Vec::new(),
+                        peak_swa: 0.0,
+                        next_state: None,
+                        cycles: probe,
+                    });
+                    continue;
+                }
+                // The lane's state trajectory s(0) … s(len).
+                let mut states: Vec<Bits> = Vec::with_capacity(len + 1);
+                states.push(start.clone());
+                for c in 0..len {
+                    states.push(extract_lane(&state_words[c * sw..(c + 1) * sw], l));
+                }
+                let prefix = &seed_pis[..len];
+                let tests = overlay.extract_tests(prefix, &states);
+                let peak_swa = swa[l][..len]
+                    .iter()
+                    .flatten()
+                    .fold(0.0f64, |a, &b| a.max(b));
                 cands.push(Candidate {
                     len,
-                    tests: overlay.empty_tests(),
+                    tests,
                     newly: Vec::new(),
-                    peak_swa: 0.0,
-                    next_state: None,
-                    cycles: probe,
+                    peak_swa,
+                    next_state: states.pop(),
+                    cycles: probe + len,
                 });
-                continue;
             }
-            // The lane's state trajectory s(0) … s(len).
-            let mut states: Vec<Bits> = Vec::with_capacity(len + 1);
-            states.push(start.clone());
-            for c in 0..len {
-                states.push(extract_lane(&state_words[c * sw..(c + 1) * sw], l));
-            }
-            let prefix = &seed_pis[..len];
-            let tests = overlay.extract_tests(prefix, &states);
-            let peak_swa = swa[l][..len]
-                .iter()
-                .flatten()
-                .fold(0.0f64, |a, &b| a.max(b));
-            cands.push(Candidate {
-                len,
-                tests,
-                newly: Vec::new(),
-                peak_swa,
-                next_state: Some(states[len].clone()),
-                cycles: probe + len,
-            });
         }
-    }
 
-    let groups: Vec<TestGroup<'_>> = cands
-        .iter()
-        .filter(|c| c.len >= 2)
-        .map(|c| TestGroup::new(c.tests.as_set()))
-        .collect();
-    if groups.is_empty() {
-        return cands;
+        let groups: Vec<TestGroup<'_>> = cands
+            .iter()
+            .filter(|c| c.len >= 2)
+            .map(|c| TestGroup::new(c.tests.as_set()))
+            .collect();
+        if groups.is_empty() {
+            return cands;
+        }
+        // Simulate only the lint-surviving faults; report newly detected
+        // ones as indices into the full list.
+        let base: Vec<bool> = self.active_idx.iter().map(|&i| snapshot[i]).collect();
+        let outs = self.fsim.simulate_groups(
+            &groups,
+            &self.active_faults,
+            &base,
+            &FaultSimOptions::new()
+                .threads(self.cfg.search.threads)
+                .until_first_accept(true),
+        );
+        let mut it = outs.into_iter();
+        for cand in cands.iter_mut().filter(|c| c.len >= 2) {
+            let out = it.next().expect("one outcome per group");
+            cand.newly = out.newly.iter().map(|&j| self.active_idx[j]).collect();
+        }
+        cands
     }
-    // Project the snapshot to the lint-surviving faults, exactly like the
-    // legacy per-candidate passes.
-    let base: Vec<bool> = active_idx.iter().map(|&i| snapshot[i]).collect();
-    let outs = evaluator.simulate_groups(
-        &groups,
-        active_faults,
-        &base,
-        &FaultSimOptions::new()
-            .threads(cfg.search.threads)
-            .until_first_accept(true),
-    );
-    let mut it = outs.into_iter();
-    for cand in cands.iter_mut().filter(|c| c.len >= 2) {
-        let out = it.next().expect("one outcome per group");
-        cand.newly = out.newly.iter().map(|&j| active_idx[j]).collect();
-    }
-    cands
 }
 
 /// Replay constructed sequences and return their extracted tests — works

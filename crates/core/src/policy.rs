@@ -23,8 +23,8 @@ use crate::engine::StateOverlay;
 /// The decision rule that truncates a candidate segment.
 ///
 /// Implementations must be pure functions of their inputs: the engine
-/// evaluates candidates speculatively across worker threads and commits
-/// results in draw order, so a non-deterministic policy would break the
+/// evaluates candidates speculatively in batches and commits results in
+/// draw order, so a non-deterministic policy would break the
 /// bit-identical-to-serial guarantee of [`crate::search`].
 pub trait AdmissibilityPolicy: Sync {
     /// The longest even prefix of `pis`, applied from `start` under
@@ -47,14 +47,17 @@ pub trait AdmissibilityPolicy: Sync {
 
     /// The admissible prefix as a pure function of a candidate's per-cycle
     /// switching-activity trace (`total` cycles), or `None` if this policy
-    /// needs more than the trace (e.g. per-cycle node values) and must be
-    /// probed through [`AdmissibilityPolicy::admissible_prefix`].
+    /// needs more than the trace (e.g. per-cycle node values).
     ///
-    /// `Some` enables the candidate-packed fast path of
-    /// [`crate::engine::GenerationEngine::construct`]: the engine simulates
-    /// a whole speculative batch in one multi-lane pass and derives each
-    /// lane's prefix from its trace, so the value returned here must equal
-    /// `admissible_prefix` over the trajectory that produced `swa`.
+    /// Every policy runs through the same candidate-packed round of
+    /// [`crate::engine::GenerationEngine::construct`], which simulates a
+    /// whole speculative batch in one multi-lane pass. The engine asks once
+    /// per run which kind of policy it has. `Some` means "derive each lane's
+    /// prefix from its trace", so the value returned here must equal
+    /// `admissible_prefix` over the trajectory that produced `swa`. `None`
+    /// means "probe this lane": the engine calls
+    /// [`AdmissibilityPolicy::admissible_prefix`] on every candidate first
+    /// and stops the lane pass at the longest probed prefix.
     fn admissible_prefix_from_trace(&self, swa: &[Option<f64>], total: usize) -> Option<usize> {
         let _ = (swa, total);
         None
@@ -245,9 +248,9 @@ mod tests {
 
     #[test]
     fn trace_prefix_agrees_with_the_probe_for_every_trace_policy() {
-        // The candidate-packed fast path derives prefixes from a lane's
-        // switching-activity trace instead of re-probing; the two answers
-        // must coincide for every policy that offers a trace rule.
+        // The candidate-packed round derives prefixes from a lane's
+        // switching-activity trace instead of probing; the two answers must
+        // coincide for every policy that offers a trace rule.
         let net = s27();
         let zero = Bits::zeros(3);
         let p = pis(30);

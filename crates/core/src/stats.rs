@@ -22,10 +22,11 @@ pub struct GenerationStats {
     /// Evaluations whose results were discarded because an earlier
     /// candidate in the round committed first (`evals - seeds_tried`).
     pub wasted_evals: usize,
-    /// Fault-simulation engine invocations actually issued. On the
-    /// candidate-packed path one grouped call evaluates a whole speculative
-    /// round, so this is far below [`GenerationStats::candidate_groups`];
-    /// on the legacy per-candidate path the two counters are equal.
+    /// Fault-simulation engine invocations actually issued, for every
+    /// admissibility policy: one grouped call per speculative round that has
+    /// an admissible candidate, plus one per segment the reverse compaction
+    /// pass simulates. At batch 1 this equals
+    /// [`GenerationStats::candidate_groups`]; larger batches fall below it.
     pub fsim_calls: usize,
     /// Candidate test groups submitted to fault simulation (one per
     /// fault-simulated candidate, regardless of how the calls were

@@ -2,18 +2,27 @@
 //!
 //! The reference implementations below are verbatim ports of the serial
 //! Chapter-4 loops as they existed before speculation was introduced (one
-//! seed drawn and evaluated per iteration, no batching). The suite asserts
-//! that `generate_unconstrained` / `generate_constrained` /
-//! `generate_constrained_from` produce byte-identical outcomes for the same
-//! `master_seed` across `threads ∈ {1, 2, 8}` and `batch ∈ {1, 4, 16}`, on
-//! s27 plus a synthesized circuit — i.e. the speculative search is
-//! bit-identical to the serial loop and independent of thread count.
+//! seed drawn and evaluated per iteration, no batching); the constrained
+//! loop takes its admissibility rule as an input. The suite asserts that
+//! `generate_unconstrained` / `generate_constrained` /
+//! `generate_constrained_from` (switching-activity rule) and
+//! `generate_constrained_with_library` (signal-transition-pattern rule)
+//! produce byte-identical outcomes for the same `master_seed` across
+//! `threads ∈ {1, 2, 8}` and `batch ∈ {1, 4, 16}`, on s27 plus a synthesized
+//! circuit — i.e. the speculative search is bit-identical to the serial loop
+//! and independent of thread count. Every run also issues at most one
+//! fault-simulation call per candidate group.
 
 use fbt_bist::{cube, Tpg, TpgSpec};
+use fbt_core::driver::{functional_sequences, DrivingBlock};
+use fbt_core::engine::StateOverlay;
 use fbt_core::extract::functional_tests;
+use fbt_core::policy::AdmissibilityPolicy;
+use fbt_core::stp::StpLibrary;
 use fbt_core::{
-    generate_constrained, generate_constrained_from, generate_unconstrained, FunctionalBistConfig,
-    SearchOptions,
+    generate_constrained, generate_constrained_from, generate_constrained_with_library,
+    generate_unconstrained, ConstrainedOutcome, DeviationMetric, FunctionalBistConfig,
+    GenerationStats, SearchOptions,
 };
 use fbt_fault::{
     all_transition_faults, collapse, FaultSimEngine, FaultSimOptions, PackedParallelSim, TestSet,
@@ -116,10 +125,11 @@ fn admissible_prefix(net: &Netlist, bound: f64, start: &Bits, pis: &[Bits]) -> u
 /// One reference segment: (seed, len). A sequence is a Vec of segments.
 type RefSeqs = Vec<(Bits, Vec<(u64, usize)>)>;
 
-/// The pre-speculation serial constrained loop (Fig. 4.9).
+/// The pre-speculation serial constrained loop (Fig. 4.9), truncating each
+/// candidate with `admissible(start, pis)`.
 fn reference_constrained(
     net: &Netlist,
-    bound: f64,
+    admissible: impl Fn(&Bits, &[Bits]) -> usize,
     cfg: &FunctionalBistConfig,
     initial_states: &[Bits],
 ) -> (RefSeqs, Vec<bool>, usize, f64) {
@@ -150,7 +160,7 @@ fn reference_constrained(
             seeds_tried += 1;
             let seed = rng.next_u64();
             let pis = Tpg::new(spec.clone(), seed).sequence(cfg.seq_len);
-            let len = admissible_prefix(net, bound, &cur_state, &pis);
+            let len = admissible(&cur_state, &pis);
             if len < 2 {
                 seed_failures += 1;
                 continue;
@@ -186,15 +196,46 @@ fn reference_constrained(
     (sequences, detected, tests_applied, peak_swa)
 }
 
-fn cfg_with(batch: usize, threads: usize, packed: bool) -> FunctionalBistConfig {
+fn cfg_with(batch: usize, threads: usize) -> FunctionalBistConfig {
     FunctionalBistConfig {
-        search: SearchOptions {
-            batch,
-            threads,
-            packed,
-        },
+        search: SearchOptions { batch, threads },
         ..FunctionalBistConfig::smoke()
     }
+}
+
+/// Every round submits its admissible candidates as one grouped call, so a
+/// run never issues more fault-simulation calls than candidate groups.
+fn assert_grouped(stats: &GenerationStats, label: &str) {
+    assert!(
+        stats.fsim_calls <= stats.candidate_groups,
+        "{label}: {} fsim calls for {} candidate groups",
+        stats.fsim_calls,
+        stats.candidate_groups
+    );
+}
+
+/// Compare a constrained outcome against the serial reference.
+fn assert_matches_reference(
+    out: &ConstrainedOutcome,
+    reference: &(RefSeqs, Vec<bool>, usize, f64),
+    label: &str,
+) {
+    let (seqs, detected, tests_applied, peak_swa) = reference;
+    let got: RefSeqs = out
+        .sequences
+        .iter()
+        .map(|s| {
+            (
+                s.initial_state.clone(),
+                s.segments.iter().map(|g| (g.seed, g.len)).collect(),
+            )
+        })
+        .collect();
+    assert_eq!(&got, seqs, "{label}");
+    assert_eq!(&out.detected, detected, "{label}");
+    assert_eq!(out.tests_applied, *tests_applied, "{label}");
+    assert_eq!(out.peak_swa, *peak_swa, "{label}");
+    assert_grouped(&out.stats, label);
 }
 
 #[test]
@@ -202,19 +243,15 @@ fn unconstrained_is_bit_identical_to_the_serial_reference() {
     for net in circuits() {
         let (seeds, detected, tests_applied, peak_swa) =
             reference_unconstrained(&net, &FunctionalBistConfig::smoke());
-        for packed in [false, true] {
-            for batch in BATCHES {
-                for threads in THREADS {
-                    let out = generate_unconstrained(&net, &cfg_with(batch, threads, packed));
-                    let label = format!(
-                        "{} batch={batch} threads={threads} packed={packed}",
-                        net.name()
-                    );
-                    assert_eq!(out.seeds, seeds, "{label}");
-                    assert_eq!(out.detected, detected, "{label}");
-                    assert_eq!(out.tests_applied, tests_applied, "{label}");
-                    assert_eq!(out.peak_swa, peak_swa, "{label}");
-                }
+        for batch in BATCHES {
+            for threads in THREADS {
+                let out = generate_unconstrained(&net, &cfg_with(batch, threads));
+                let label = format!("{} batch={batch} threads={threads}", net.name());
+                assert_eq!(out.seeds, seeds, "{label}");
+                assert_eq!(out.detected, detected, "{label}");
+                assert_eq!(out.tests_applied, tests_applied, "{label}");
+                assert_eq!(out.peak_swa, peak_swa, "{label}");
+                assert_grouped(&out.stats, &label);
             }
         }
     }
@@ -226,35 +263,17 @@ fn constrained_is_bit_identical_to_the_serial_reference() {
         // A bound tight enough to force truncation and rejections.
         let bound = 0.45;
         let zero = Bits::zeros(net.num_dffs());
-        let (seqs, detected, tests_applied, peak_swa) = reference_constrained(
+        let reference = reference_constrained(
             &net,
-            bound,
+            |start, pis| admissible_prefix(&net, bound, start, pis),
             &FunctionalBistConfig::smoke(),
             std::slice::from_ref(&zero),
         );
-        for packed in [false, true] {
-            for batch in BATCHES {
-                for threads in THREADS {
-                    let out = generate_constrained(&net, bound, &cfg_with(batch, threads, packed));
-                    let label = format!(
-                        "{} batch={batch} threads={threads} packed={packed}",
-                        net.name()
-                    );
-                    let got: RefSeqs = out
-                        .sequences
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.initial_state.clone(),
-                                s.segments.iter().map(|g| (g.seed, g.len)).collect(),
-                            )
-                        })
-                        .collect();
-                    assert_eq!(got, seqs, "{label}");
-                    assert_eq!(out.detected, detected, "{label}");
-                    assert_eq!(out.tests_applied, tests_applied, "{label}");
-                    assert_eq!(out.peak_swa, peak_swa, "{label}");
-                }
+        for batch in BATCHES {
+            for threads in THREADS {
+                let out = generate_constrained(&net, bound, &cfg_with(batch, threads));
+                let label = format!("{} batch={batch} threads={threads}", net.name());
+                assert_matches_reference(&out, &reference, &label);
             }
         }
     }
@@ -272,36 +291,66 @@ fn constrained_from_is_bit_identical_to_the_serial_reference() {
         let traj = simulate_sequence(&net, &zero, &pis);
         let inits = vec![zero, traj.states[2].clone()];
         let bound = 0.6;
-        let (seqs, detected, tests_applied, peak_swa) =
-            reference_constrained(&net, bound, &FunctionalBistConfig::smoke(), &inits);
-        for packed in [false, true] {
-            for batch in BATCHES {
-                for threads in THREADS {
-                    let out = generate_constrained_from(
-                        &net,
-                        bound,
-                        &cfg_with(batch, threads, packed),
-                        &inits,
-                    );
-                    let label = format!(
-                        "{} batch={batch} threads={threads} packed={packed}",
-                        net.name()
-                    );
-                    let got: RefSeqs = out
-                        .sequences
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.initial_state.clone(),
-                                s.segments.iter().map(|g| (g.seed, g.len)).collect(),
-                            )
-                        })
-                        .collect();
-                    assert_eq!(got, seqs, "{label}");
-                    assert_eq!(out.detected, detected, "{label}");
-                    assert_eq!(out.tests_applied, tests_applied, "{label}");
-                    assert_eq!(out.peak_swa, peak_swa, "{label}");
-                }
+        let reference = reference_constrained(
+            &net,
+            |start, pis| admissible_prefix(&net, bound, start, pis),
+            &FunctionalBistConfig::smoke(),
+            &inits,
+        );
+        for batch in BATCHES {
+            for threads in THREADS {
+                let out = generate_constrained_from(&net, bound, &cfg_with(batch, threads), &inits);
+                let label = format!("{} batch={batch} threads={threads}", net.name());
+                assert_matches_reference(&out, &reference, &label);
+            }
+        }
+    }
+}
+
+#[test]
+fn stp_constrained_is_bit_identical_to_the_serial_reference() {
+    // The signal-transition-pattern rule needs node values, not just the
+    // activity trace, so every lane is probed before the lane pass. The
+    // library samples eight functional sequences of four times the smoke
+    // length: rich enough that accepted segments chain (later probes start
+    // from a non-reset state), sparse enough that the rule truncates.
+    let smoke = FunctionalBistConfig::smoke();
+    let lib_cfg = FunctionalBistConfig {
+        func_sequences: 8,
+        func_len: smoke.func_len * 4,
+        ..smoke.clone()
+    };
+    for net in circuits() {
+        let zero = Bits::zeros(net.num_dffs());
+        let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &lib_cfg);
+        let lib = StpLibrary::collect(&net, &zero, &seqs);
+        let bound = lib.max_pattern_len() as f64 / net.num_nodes() as f64;
+        let reference = reference_constrained(
+            &net,
+            |start, pis| lib.admissible_prefix(&net, start, pis, &StateOverlay::Identity),
+            &smoke,
+            std::slice::from_ref(&zero),
+        );
+        let segs = || reference.0.iter().map(|(_, segs)| segs);
+        assert!(
+            segs().flatten().any(|&(_, len)| len < smoke.seq_len & !1),
+            "{}: the library truncated no kept segment",
+            net.name()
+        );
+        assert!(
+            segs().any(|s| s.len() >= 2),
+            "{}: no sequence chained two segments",
+            net.name()
+        );
+        for batch in BATCHES {
+            for threads in THREADS {
+                let cfg = FunctionalBistConfig {
+                    metric: DeviationMetric::SignalTransitionPatterns,
+                    ..cfg_with(batch, threads)
+                };
+                let out = generate_constrained_with_library(&net, bound, &lib, &cfg);
+                let label = format!("{} stp batch={batch} threads={threads}", net.name());
+                assert_matches_reference(&out, &reference, &label);
             }
         }
     }
@@ -312,19 +361,17 @@ fn speculative_outcomes_are_independent_of_thread_count() {
     // Fixing the batch, every thread count must give the same counters too
     // (wasted_evals depends only on the batch size and the commit pattern).
     for net in circuits() {
-        for packed in [false, true] {
-            for batch in BATCHES {
-                let reference = generate_unconstrained(&net, &cfg_with(batch, 1, packed));
-                for threads in [2, 8] {
-                    let out = generate_unconstrained(&net, &cfg_with(batch, threads, packed));
-                    assert_eq!(out.seeds, reference.seeds);
-                    assert_eq!(out.detected, reference.detected);
-                    assert_eq!(out.stats.evals, reference.stats.evals);
-                    assert_eq!(out.stats.wasted_evals, reference.stats.wasted_evals);
-                    assert_eq!(out.stats.seeds_tried, reference.stats.seeds_tried);
-                    assert_eq!(out.stats.fsim_calls, reference.stats.fsim_calls);
-                    assert_eq!(out.stats.candidate_groups, reference.stats.candidate_groups);
-                }
+        for batch in BATCHES {
+            let reference = generate_unconstrained(&net, &cfg_with(batch, 1));
+            for threads in [2, 8] {
+                let out = generate_unconstrained(&net, &cfg_with(batch, threads));
+                assert_eq!(out.seeds, reference.seeds);
+                assert_eq!(out.detected, reference.detected);
+                assert_eq!(out.stats.evals, reference.stats.evals);
+                assert_eq!(out.stats.wasted_evals, reference.stats.wasted_evals);
+                assert_eq!(out.stats.seeds_tried, reference.stats.seeds_tried);
+                assert_eq!(out.stats.fsim_calls, reference.stats.fsim_calls);
+                assert_eq!(out.stats.candidate_groups, reference.stats.candidate_groups);
             }
         }
     }

@@ -405,12 +405,17 @@ mod tests {
         assert_eq!(status, 400);
         let (status, _) = state.handle(&request("POST", "/jobs", "{\"circuit\":\"absent\"}"));
         assert_eq!(status, 400);
-        let (status, _) = state.handle(&request(
-            "POST",
-            "/jobs",
-            "{\"circuit\":\"s27\",\"batch\":0}",
-        ));
-        assert_eq!(status, 400);
+        // Zero or oversized search knobs: each rejection names the field
+        // and its limit instead of sizing a worker's allocations.
+        for (spec, field) in [
+            ("{\"circuit\":\"s27\",\"batch\":0}", "batch"),
+            ("{\"circuit\":\"s27\",\"batch\":1000000000}", "batch"),
+            ("{\"circuit\":\"s27\",\"threads\":1000000000}", "threads"),
+        ] {
+            let (status, body) = state.handle(&request("POST", "/jobs", spec));
+            assert_eq!(status, 400, "{spec}: {body}");
+            assert!(body.contains(field), "{spec}: {body}");
+        }
         state.pool.drain();
     }
 }

@@ -83,7 +83,9 @@ pub struct JobSpec {
     pub method: Method,
     /// Config preset name: `smoke`, `scaled`, or `paper`.
     pub preset: String,
-    /// Speculative search settings.
+    /// Speculative search settings: `batch` in `1..=` the preset's
+    /// `max_seeds`, `threads` at most the host's available parallelism
+    /// (`0` = automatic).
     pub search: SearchOptions,
     /// `SWAfunc` multiplier for the bound (`constrained` / `holding`).
     pub swa_scale: f64,
@@ -122,17 +124,24 @@ impl JobSpec {
             Some(other) => return Err(format!("unknown preset {other:?}")),
         };
         let mut search = SearchOptions::default();
+        // Both knobs size allocations a worker makes up front (one seed per
+        // batch slot, one fault-simulation thread per thread), so they are
+        // bounded by the preset's seed budget and the host's cores.
         if let Some(batch) = v.get("batch").and_then(Json::as_u64) {
-            if batch == 0 {
-                return Err("batch must be positive".into());
+            let max = preset_config(&preset).max_seeds as u64;
+            if batch == 0 || batch > max {
+                return Err(format!("batch must be in 1..={max} (preset {preset})"));
             }
             search.batch = batch as usize;
         }
         if let Some(threads) = v.get("threads").and_then(Json::as_u64) {
+            let max = SearchOptions::default().resolved_threads() as u64;
+            if threads > max {
+                return Err(format!(
+                    "threads must be at most {max} (available parallelism; 0 = auto)"
+                ));
+            }
             search.threads = threads as usize;
-        }
-        if let Some(packed) = v.get("packed").and_then(Json::as_bool) {
-            search.packed = packed;
         }
         let swa_scale = match v.get("swa_scale").and_then(Json::as_f64) {
             Some(s) if s > 0.0 && s <= 1.0 => s,
@@ -164,16 +173,21 @@ impl JobSpec {
 
     /// The generation config this spec resolves to.
     pub fn config(&self) -> FunctionalBistConfig {
-        let mut cfg = match self.preset.as_str() {
-            "scaled" => FunctionalBistConfig::scaled(),
-            "paper" => FunctionalBistConfig::paper(),
-            _ => FunctionalBistConfig::smoke(),
-        };
+        let mut cfg = preset_config(&self.preset);
         cfg.search = self.search;
         if let Some(seed) = self.seed {
             cfg.master_seed = seed;
         }
         cfg
+    }
+}
+
+/// The generation config a preset name stands for.
+fn preset_config(preset: &str) -> FunctionalBistConfig {
+    match preset {
+        "scaled" => FunctionalBistConfig::scaled(),
+        "paper" => FunctionalBistConfig::paper(),
+        _ => FunctionalBistConfig::smoke(),
     }
 }
 
@@ -407,7 +421,6 @@ fn run_job(job: &Job, store: &ContentStore) -> Result<String, String> {
                 .str("preset", &spec.preset)
                 .num("batch", cfg.search.batch)
                 .num("threads", cfg.search.threads)
-                .bool("packed", cfg.search.packed)
                 .num("seed", cfg.master_seed);
             match spec.method {
                 Method::Unconstrained => {
@@ -513,7 +526,7 @@ mod tests {
         let store = ContentStore::with_catalog();
         let entry = store.get("s27").unwrap();
         let spec = parse_spec(
-            "{\"circuit\":\"s27\",\"method\":\"unconstrained\",\"batch\":4,\"threads\":2}",
+            "{\"circuit\":\"s27\",\"method\":\"unconstrained\",\"batch\":4,\"threads\":1}",
         )
         .unwrap();
         let cfg = spec.config();

@@ -404,7 +404,7 @@ mod tests {
     fn outcome_matches_direct_engine_regardless_of_pool_shape() {
         let store = Arc::new(ContentStore::with_catalog());
         let entry = store.get("s27").unwrap();
-        let body = "{\"circuit\":\"s27\",\"method\":\"unconstrained\",\"batch\":4,\"threads\":2}";
+        let body = "{\"circuit\":\"s27\",\"method\":\"unconstrained\",\"batch\":4,\"threads\":1}";
         let direct = fbt_core::generate_unconstrained(&entry.net, &spec(body).config());
         for (shards, workers) in [(1, 1), (2, 3), (4, 2)] {
             let pool = Pool::new(store.clone(), shards, workers);

@@ -27,7 +27,6 @@
 pub mod activity;
 mod bits;
 pub mod comb;
-pub mod event;
 pub mod kernel;
 pub mod lanes;
 pub mod reset;
