@@ -14,7 +14,7 @@
 //! Both preserve fault coverage exactly.
 
 use fbt_fault::{BroadsideTest, TransitionFault};
-use fbt_fault::{FaultSimEngine, FaultSimOptions, PackedParallelSim, SerialSim, TestSet};
+use fbt_fault::{FaultSimEngine, FaultSimOptions, PackedParallelSim, TestSet};
 use fbt_netlist::Netlist;
 
 /// Reverse-order compaction: indices (in increasing order) of the kept
@@ -24,7 +24,9 @@ pub fn reverse_order(
     tests: &[BroadsideTest],
     faults: &[TransitionFault],
 ) -> Vec<usize> {
-    let mut fsim = SerialSim::new(net);
+    let mut fsim = PackedParallelSim::new(net);
+    // One test per call: a second worker thread would only add spawns.
+    let opts = FaultSimOptions::new().threads(1);
     let mut detected = vec![false; faults.len()];
     let mut kept = Vec::new();
     for i in (0..tests.len()).rev() {
@@ -33,7 +35,7 @@ pub fn reverse_order(
                 TestSet::Broadside(std::slice::from_ref(&tests[i])),
                 faults,
                 &mut detected,
-                &FaultSimOptions::new(),
+                &opts,
             )
             .newly_detected;
         if newly > 0 {

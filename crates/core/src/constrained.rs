@@ -27,7 +27,7 @@ use crate::outcome::{deref_summary, OutcomeSummary};
 use crate::policy::{AdmissibilityPolicy, SwaRule};
 use crate::progress::Progress;
 use crate::stp::StpLibrary;
-use crate::{DeviationMetric, FunctionalBistConfig};
+use crate::FunctionalBistConfig;
 
 pub use crate::outcome::{MultiSegmentSequence, Segment};
 
@@ -136,9 +136,9 @@ impl ConstrainedOutcome {
 /// assert!(out.fault_coverage() > 0.0);
 /// ```
 ///
-/// When `cfg.metric` is [`DeviationMetric::SignalTransitionPatterns`], an
-/// [`StpLibrary`] must be supplied via [`generate_constrained_with_library`];
-/// this entry point always uses the switching-activity rule.
+/// This entry point always uses the switching-activity rule; the
+/// signal-transition-pattern rule runs through
+/// [`generate_constrained_with_library`].
 ///
 /// # Panics
 ///
@@ -229,19 +229,13 @@ pub fn generate_constrained_from(
 ///
 /// # Panics
 ///
-/// Panics if `cfg.metric` is not
-/// [`DeviationMetric::SignalTransitionPatterns`].
+/// Panics on invalid configurations.
 pub fn generate_constrained_with_library(
     net: &Netlist,
     swafunc: f64,
     library: &StpLibrary,
     cfg: &FunctionalBistConfig,
 ) -> ConstrainedOutcome {
-    assert_eq!(
-        cfg.metric,
-        DeviationMetric::SignalTransitionPatterns,
-        "library-based generation requires the STP metric"
-    );
     let zero = Bits::zeros(net.num_dffs());
     run(
         net,

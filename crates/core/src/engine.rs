@@ -357,7 +357,7 @@ pub struct GenerationEngine<'n> {
     active_faults: Vec<TransitionFault>,
     active_idx: Vec<usize>,
     /// The fault simulator every round and compaction pass runs on; its
-    /// lazily built fanout-cone caches amortize over the whole search.
+    /// worker scratch is reused over the whole search.
     fsim: PackedParallelSim<'n>,
     /// Compiled-kernel cache activity attributable to this engine's
     /// construction (global-counter delta around the simulator build).

@@ -99,16 +99,13 @@ pub fn estimate_overtesting(
 mod tests {
     use super::*;
     use crate::driver::{functional_sequences, DrivingBlock};
-    use crate::{generate_constrained, generate_constrained_with_library, DeviationMetric};
+    use crate::{generate_constrained, generate_constrained_with_library};
     use fbt_netlist::s27;
 
     #[test]
     fn stp_generated_programs_have_zero_residue() {
         let net = s27();
-        let cfg = FunctionalBistConfig {
-            metric: DeviationMetric::SignalTransitionPatterns,
-            ..FunctionalBistConfig::smoke()
-        };
+        let cfg = FunctionalBistConfig::smoke();
         let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &cfg);
         let lib = StpLibrary::collect(&net, &fbt_sim::Bits::zeros(3), &seqs);
         let bound = lib.max_pattern_len() as f64 / net.num_nodes() as f64;

@@ -164,7 +164,7 @@ impl AdmissibilityPolicy for StpLibrary {
 mod tests {
     use super::*;
     use crate::driver::{functional_sequences, DrivingBlock};
-    use crate::{generate_constrained_with_library, DeviationMetric, FunctionalBistConfig};
+    use crate::{generate_constrained_with_library, FunctionalBistConfig};
     use fbt_netlist::s27;
 
     #[test]
@@ -201,10 +201,7 @@ mod tests {
     #[test]
     fn stp_constrained_generation_runs() {
         let net = s27();
-        let cfg = FunctionalBistConfig {
-            metric: DeviationMetric::SignalTransitionPatterns,
-            ..FunctionalBistConfig::smoke()
-        };
+        let cfg = FunctionalBistConfig::smoke();
         let seqs = functional_sequences(&net, &DrivingBlock::Buffers, &cfg);
         let lib = StpLibrary::collect(&net, &Bits::zeros(3), &seqs);
         let bound = lib.max_pattern_len() as f64 / net.num_nodes() as f64;

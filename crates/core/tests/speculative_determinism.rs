@@ -21,8 +21,8 @@ use fbt_core::policy::AdmissibilityPolicy;
 use fbt_core::stp::StpLibrary;
 use fbt_core::{
     generate_constrained, generate_constrained_from, generate_constrained_with_library,
-    generate_unconstrained, ConstrainedOutcome, DeviationMetric, FunctionalBistConfig,
-    GenerationStats, SearchOptions,
+    generate_unconstrained, ConstrainedOutcome, FunctionalBistConfig, GenerationStats,
+    SearchOptions,
 };
 use fbt_fault::{
     all_transition_faults, collapse, FaultSimEngine, FaultSimOptions, PackedParallelSim, TestSet,
@@ -344,10 +344,7 @@ fn stp_constrained_is_bit_identical_to_the_serial_reference() {
         );
         for batch in BATCHES {
             for threads in THREADS {
-                let cfg = FunctionalBistConfig {
-                    metric: DeviationMetric::SignalTransitionPatterns,
-                    ..cfg_with(batch, threads)
-                };
+                let cfg = cfg_with(batch, threads);
                 let out = generate_constrained_with_library(&net, bound, &lib, &cfg);
                 let label = format!("{} stp batch={batch} threads={threads}", net.name());
                 assert_matches_reference(&out, &reference, &label);

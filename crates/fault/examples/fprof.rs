@@ -1,5 +1,6 @@
-//! Hotspot probe: times packed fault simulation compiled vs interpreted
-//! on s35932, plus the multi-lane sequential simulator.
+//! Hotspot probe: times the compiled `PackedParallelSim` against the
+//! interpreter oracle `SerialSim` on s35932, plus the multi-lane
+//! sequential simulator.
 //!
 //! Run with `cargo run --release -p fbt-fault --example fprof`.
 
@@ -44,29 +45,15 @@ fn main() {
     let opts = FaultSimOptions::new();
 
     time_fsim(
-        "serial compiled (cold)",
-        SerialSim::new(&net),
-        &tests,
-        &faults,
-        &opts,
-    );
-    time_fsim(
-        "serial interpreted",
-        SerialSim::interpreted(&net),
-        &tests,
-        &faults,
-        &opts,
-    );
-    time_fsim(
-        "packed compiled",
+        "packed compiled (cold)",
         PackedParallelSim::new(&net),
         &tests,
         &faults,
         &opts,
     );
     time_fsim(
-        "packed interpreted",
-        PackedParallelSim::interpreted(&net),
+        "SerialSim (oracle)",
+        SerialSim::new(&net),
         &tests,
         &faults,
         &opts,
@@ -74,8 +61,8 @@ fn main() {
     // Fresh engine, warm cache: the kernel and its propagation tables are
     // already in the global kernel cache, so this shows steady-state cost.
     time_fsim(
-        "serial compiled (warm)",
-        SerialSim::new(&net),
+        "packed compiled (warm)",
+        PackedParallelSim::new(&net),
         &tests,
         &faults,
         &opts,

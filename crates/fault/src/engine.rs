@@ -7,15 +7,20 @@
 //! test sequences ([`TestGroup`]s), each with its own detection credit.
 //! Two implementations are provided:
 //!
-//! * [`SerialSim`] — the original single-threaded simulator, kept as the
-//!   correctness oracle; it simulates each group of a batch on its own.
-//! * [`PackedParallelSim`] — a PPSFP-style (parallel-pattern, single-fault
-//!   propagation) engine that packs 64 tests per `u64` word — *across group
-//!   boundaries* — and shards the fault list across worker threads with
-//!   [`std::thread::scope`]. One levelized pass over the circuit evaluates
-//!   tests from many speculative candidates at once; fault dropping is
-//!   lane-masked per group, so a drop credited to group *i* never leaks
-//!   into group *j*'s outcome.
+//! * [`SerialSim`] — the interpreter oracle. It walks the netlist gate by
+//!   gate ([`comb::eval_packed`] for the fault-free frames, each fault's
+//!   static fanout cone for its propagation), simulates the groups of a
+//!   batch one at a time on one thread, and shares no evaluation code with
+//!   the compiled kernels.
+//! * [`PackedParallelSim`] — the production engine: PPSFP-style
+//!   (parallel-pattern, single-fault propagation) on the cached compiled
+//!   kernel of [`fbt_sim::kernel`]. It packs 64 tests per `u64` word —
+//!   *across group boundaries* — and shards the fault list across worker
+//!   threads with [`std::thread::scope`]. The fault-free frames run the
+//!   flattened full program, and each fault's propagation runs an
+//!   event-driven pass that re-evaluates only the ops whose inputs change.
+//!   Fault dropping is lane-masked per group, so a drop credited to group
+//!   *i* never leaks into group *j*'s outcome.
 //!
 //! Both engines produce bit-identical results: within a 64-test word each
 //! fault is simulated independently against a shared fault-free machine, so
@@ -23,16 +28,8 @@
 //! the thread count can change a detection verdict. Fault dropping takes
 //! effect between words in both engines, and every group's outcome equals
 //! what running that group alone (from the shared baseline) would produce.
-//!
-//! By default both engines evaluate through the cached compiled kernels of
-//! [`fbt_sim::kernel`]: the fault-free frames run the flattened full
-//! program and each fault's propagation runs an event-driven pass with a
-//! patch slot at the fault site, re-evaluating only the ops whose inputs
-//! change; the kernel is shared across engines and worker threads via the
-//! global content-addressed cache. The `interpreted` constructors select
-//! the original gate-walking path instead; it is the oracle the compiled
-//! path is pinned against (see the `compiled_kernel` integration test),
-//! and both paths are bit-identical on values, detections and activity.
+//! The `compiled_kernel`, `differential` and `grouped_differential`
+//! integration tests pin the production engine to the oracle.
 //!
 //! # Example
 //!
@@ -65,38 +62,32 @@
 
 use std::sync::Arc;
 
-use fbt_netlist::{Netlist, NodeId};
+use fbt_netlist::Netlist;
 use fbt_sim::comb;
-use fbt_sim::kernel::Kernel;
+use fbt_sim::kernel::{FaultProp, Kernel};
 
 use crate::{BroadsideTest, Transition, TransitionFault, TwoPatternTest};
-
-/// Which evaluation machinery an engine runs on: the cached compiled
-/// kernel (default) or the gate-walking interpreter (the oracle).
-#[derive(Debug, Clone)]
-enum EvalPath {
-    Compiled(Arc<Kernel>),
-    Interpreted,
-}
 
 /// Configuration for one [`FaultSimEngine`] call.
 ///
 /// Built fluently; the default is a plain 1-detect run with fault dropping
-/// on and automatic thread count:
+/// on and automatic thread count. Recording the detection matrix turns
+/// fault dropping off:
 ///
 /// ```
 /// use fbt_fault::engine::FaultSimOptions;
 /// let opts = FaultSimOptions::new().n_detect(5).threads(4);
-/// assert_eq!(opts.n_detect_cap(), 5);
+/// assert_eq!(
+///     opts.clone().detection_matrix(true),
+///     opts.fault_dropping(false).detection_matrix(true),
+/// );
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSimOptions {
     n_detect: usize,
     fault_dropping: bool,
     threads: usize,
-    first_detection: bool,
     matrix: bool,
-    activity: bool,
     until_first_accept: bool,
 }
 
@@ -106,9 +97,7 @@ impl Default for FaultSimOptions {
             n_detect: 1,
             fault_dropping: true,
             threads: 0,
-            first_detection: false,
             matrix: false,
-            activity: false,
             until_first_accept: false,
         }
     }
@@ -146,12 +135,6 @@ impl FaultSimOptions {
         self
     }
 
-    /// Record, per fault, the index of the first detecting test.
-    pub fn first_detection(mut self, on: bool) -> Self {
-        self.first_detection = on;
-        self
-    }
-
     /// Record the full fault × test detection matrix. Implies fault
     /// dropping off: every detection of every fault must be observed.
     pub fn detection_matrix(mut self, on: bool) -> Self {
@@ -159,14 +142,6 @@ impl FaultSimOptions {
         if on {
             self.fault_dropping = false;
         }
-        self
-    }
-
-    /// Account the fault-free launch→capture switching activity of each
-    /// test (number of circuit lines toggling between the two patterns, the
-    /// quantity behind the paper's §4.4 `SWA` measure).
-    pub fn activity(mut self, on: bool) -> Self {
-        self.activity = on;
         self
     }
 
@@ -182,26 +157,6 @@ impl FaultSimOptions {
     pub fn until_first_accept(mut self, on: bool) -> Self {
         self.until_first_accept = on;
         self
-    }
-
-    /// The configured n-detect cap.
-    pub fn n_detect_cap(&self) -> usize {
-        self.n_detect
-    }
-
-    /// Whether fault dropping is enabled.
-    pub fn drops_faults(&self) -> bool {
-        self.fault_dropping
-    }
-
-    /// The configured thread count (`0` = automatic).
-    pub fn thread_count(&self) -> usize {
-        self.threads
-    }
-
-    /// Whether grouped calls stop at the first accepting group.
-    pub fn stops_at_first_accept(&self) -> bool {
-        self.until_first_accept
     }
 }
 
@@ -385,11 +340,6 @@ impl DetectionMatrix {
     pub fn num_tests(&self) -> usize {
         self.n_tests
     }
-
-    /// Consume into the raw per-fault word rows.
-    pub fn into_rows(self) -> Vec<Vec<u64>> {
-        self.rows
-    }
 }
 
 /// Everything one group (or one plain call) produced. Optional fields are
@@ -411,14 +361,8 @@ pub struct SimOutcome {
     /// Per-fault detection counts, clamped to the cap
     /// (present when `n_detect > 1`).
     pub counts: Option<Vec<usize>>,
-    /// Per-fault index of the first detecting test, group-local
-    /// (present when `first_detection` was requested).
-    pub first_detection: Option<Vec<Option<usize>>>,
     /// The full detection matrix (present when requested).
     pub matrix: Option<DetectionMatrix>,
-    /// Per-test count of fault-free lines toggling between launch and
-    /// capture (present when `activity` was requested).
-    pub activity: Option<Vec<usize>>,
 }
 
 impl Default for SimOutcome {
@@ -428,9 +372,7 @@ impl Default for SimOutcome {
             newly: Vec::new(),
             complete: true,
             counts: None,
-            first_detection: None,
             matrix: None,
-            activity: None,
         }
     }
 }
@@ -606,11 +548,10 @@ struct GoodMachine {
     lanes_mask: u64,
 }
 
-fn eval_good(net: &Netlist, chunk: &PackedChunk, path: &EvalPath) -> GoodMachine {
-    let eval = |vals: &mut [u64]| match path {
-        EvalPath::Compiled(kernel) => kernel.eval2(vals),
-        EvalPath::Interpreted => comb::eval_packed(net, vals),
-    };
+/// Evaluate both fault-free frames of a chunk, running the combinational
+/// logic of each frame through `eval` (the interpreter or a compiled
+/// kernel).
+fn eval_good(net: &Netlist, chunk: &PackedChunk, eval: impl Fn(&mut [u64])) -> GoodMachine {
     let lanes_mask: u64 = if chunk.n_tests == 64 {
         !0
     } else {
@@ -633,6 +574,21 @@ fn eval_good(net: &Netlist, chunk: &PackedChunk, path: &EvalPath) -> GoodMachine
         good,
         lanes_mask,
     }
+}
+
+/// The stuck-at word forced on `fault`'s line, and the lanes that excite
+/// the fault: the first pattern launches the transition (the line holds
+/// the initial value) and the fault-free second pattern drives the line
+/// away from it. A fault is detected in the excited lanes where forcing
+/// the stuck word changes an observation point.
+fn excitation(gm: &GoodMachine, fault: &TransitionFault) -> (u64, u64) {
+    let g = fault.line.index();
+    let stuck: u64 = match fault.transition {
+        Transition::Rise => 0,
+        Transition::Fall => !0,
+    };
+    let launched = !(gm.frame1[g] ^ stuck) & gm.lanes_mask;
+    (stuck, launched & (gm.good[g] ^ stuck))
 }
 
 /// The lanes of one group inside one packed word of a grouped call.
@@ -738,109 +694,13 @@ fn record_hit(
     }
 }
 
-/// Per-worker mutable state, reused across chunks: the faulty-machine
-/// scratch buffer, the compiled path's event-propagation scratch, and the
-/// interpreted path's lazily built fanout-cone cache (indexed by node,
-/// which is both faster and shard-friendlier than a hash map).
-struct Worker {
-    scratch: Vec<u64>,
-    prop: fbt_sim::kernel::FaultProp,
-    cones: Vec<Option<Box<[NodeId]>>>,
-}
-
-impl Worker {
-    fn new(net: &Netlist) -> Self {
-        Worker {
-            scratch: Vec::new(),
-            prop: fbt_sim::kernel::FaultProp::default(),
-            cones: vec![None; net.num_nodes()],
-        }
-    }
-
-    /// Reset the scratch buffer to the chunk's fault-free values.
-    fn load_good(&mut self, gm: &GoodMachine) {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&gm.good);
-    }
-}
-
-/// The lanes (bit per test) in which `fault` is detected in this chunk.
-///
-/// Single-fault propagation: force the stuck value at the fault site,
-/// re-evaluate only its fanout cone against the shared good machine, and
-/// compare at observation points. The scratch buffer must equal `gm.good`
-/// on entry and is restored before returning.
-///
-/// On the compiled path [`fbt_sim::kernel::Kernel::propagate`] runs an
-/// event-driven pass that re-evaluates only the ops whose inputs actually
-/// change (diff and restore folded in); the interpreted path re-evaluates
-/// the full static fanout cone. Both produce identical lane masks.
-#[inline]
-fn fault_lanes(
-    net: &Netlist,
-    observable: &[bool],
-    gm: &GoodMachine,
-    worker: &mut Worker,
-    fault: &TransitionFault,
-    path: &EvalPath,
-) -> u64 {
-    let g = fault.line.index();
-    let init_word: u64 = match fault.transition {
-        Transition::Rise => 0,
-        Transition::Fall => !0,
-    };
-    // Launch condition: g carries the fault's initial value under pattern 1.
-    let act = match fault.transition {
-        Transition::Rise => !gm.frame1[g],
-        Transition::Fall => gm.frame1[g],
-    } & gm.lanes_mask;
-    if act == 0 {
-        return 0;
-    }
-    // A fault effect exists at g only where the good frame-2 value differs
-    // from the stuck value.
-    if act & (gm.good[g] ^ init_word) == 0 {
-        return 0;
-    }
-    let diff_obs = match path {
-        EvalPath::Compiled(kernel) => kernel.propagate(
-            &mut worker.prop,
-            g,
-            init_word,
-            &mut worker.scratch,
-            &gm.good,
-        ),
-        EvalPath::Interpreted => {
-            let cone = worker.cones[g]
-                .get_or_insert_with(|| net.fanout_cone(fault.line).into_boxed_slice());
-            worker.scratch[g] = init_word;
-            // cone[0] is the faulty line itself: it must keep the forced
-            // value, so evaluation starts at cone[1].
-            comb::eval_packed_cone(net, &cone[1..], &mut worker.scratch);
-            let mut diff_obs = 0u64;
-            for &c in cone.iter() {
-                if observable[c.index()] {
-                    diff_obs |= worker.scratch[c.index()] ^ gm.good[c.index()];
-                }
-            }
-            for &c in cone.iter() {
-                worker.scratch[c.index()] = gm.good[c.index()];
-            }
-            diff_obs
-        }
-    };
-    act & diff_obs
-}
-
 /// Accumulates per-group results; shared by both engines so their merge
 /// semantics cannot drift apart.
 struct Accum {
     newly: Vec<usize>,
     cap: usize,
     counts: Option<Vec<usize>>,
-    first: Option<Vec<Option<usize>>>,
     matrix: Option<DetectionMatrix>,
-    activity: Option<Vec<usize>>,
 }
 
 impl Accum {
@@ -849,9 +709,7 @@ impl Accum {
             newly: Vec::new(),
             cap: opts.n_detect,
             counts: (opts.n_detect > 1).then(|| vec![0usize; n_faults]),
-            first: opts.first_detection.then(|| vec![None; n_faults]),
             matrix: opts.matrix.then(|| DetectionMatrix::new(n_faults, n_tests)),
-            activity: opts.activity.then(|| vec![0usize; n_tests]),
         }
     }
 
@@ -871,29 +729,16 @@ impl Accum {
         local_base: usize,
         detected: &mut [bool],
     ) {
-        let first_idx = local_base + (lanes.trailing_zeros() - lane_lo) as usize;
-        match &mut self.counts {
+        let reached = match &mut self.counts {
             Some(counts) => {
-                if counts[fi] == 0 {
-                    if let Some(first) = &mut self.first {
-                        first[fi] = Some(first_idx);
-                    }
-                }
                 counts[fi] += lanes.count_ones() as usize;
-                if counts[fi] >= self.cap && !detected[fi] {
-                    detected[fi] = true;
-                    self.newly.push(fi);
-                }
+                counts[fi] >= self.cap
             }
-            None => {
-                if !detected[fi] {
-                    detected[fi] = true;
-                    self.newly.push(fi);
-                    if let Some(first) = &mut self.first {
-                        first[fi] = Some(first_idx);
-                    }
-                }
-            }
+            None => true,
+        };
+        if reached && !detected[fi] {
+            detected[fi] = true;
+            self.newly.push(fi);
         }
         if let Some(m) = &mut self.matrix {
             if lane_lo == 0 && local_base.is_multiple_of(64) {
@@ -909,39 +754,12 @@ impl Accum {
         }
     }
 
-    /// Add the fault-free launch→capture toggle counts of aligned chunk
-    /// `base` (single-group path).
-    fn record_activity(&mut self, gm: &GoodMachine, base: usize) {
-        self.record_activity_span(gm, gm.lanes_mask, 0, base * 64);
-    }
-
-    /// Add the toggle counts of one group span.
-    fn record_activity_span(
-        &mut self,
-        gm: &GoodMachine,
-        mask: u64,
-        lane_lo: u32,
-        local_base: usize,
-    ) {
-        if let Some(act) = &mut self.activity {
-            for (f1, f2) in gm.frame1.iter().zip(&gm.good) {
-                let mut d = (f1 ^ f2) & mask;
-                while d != 0 {
-                    act[local_base + (d.trailing_zeros() - lane_lo) as usize] += 1;
-                    d &= d - 1;
-                }
-            }
-        }
-    }
-
     fn finish(self) -> SimOutcome {
         let Accum {
             mut newly,
             cap,
             counts,
-            first,
             matrix,
-            activity,
         } = self;
         // Record order depends on which word first flipped each fault, so
         // normalise: outcomes must not depend on chunking or packing.
@@ -951,65 +769,49 @@ impl Accum {
             newly,
             complete: true,
             counts: counts.map(|c| c.into_iter().map(|v| v.min(cap)).collect()),
-            first_detection: first,
             matrix,
-            activity,
         }
     }
 }
 
-/// Shared observability precomputation: a node is observable when it drives
-/// a primary output or a flip-flop D input.
-fn observability(net: &Netlist) -> Vec<bool> {
-    let mut observable = vec![false; net.num_nodes()];
-    for &o in net.outputs() {
-        observable[o.index()] = true;
-    }
-    for &d in net.dffs() {
-        observable[net.node(d).fanins()[0].index()] = true;
-    }
-    observable
-}
-
-/// The original single-threaded engine, kept as the correctness oracle for
-/// [`PackedParallelSim`] (see the `differential` and `grouped_differential`
-/// integration tests). Grouped batches are simulated one group at a time.
+/// The interpreter oracle for [`PackedParallelSim`] (see the
+/// `compiled_kernel`, `differential` and `grouped_differential` integration
+/// tests).
+///
+/// It evaluates the fault-free frames gate by gate with
+/// [`comb::eval_packed`] and propagates each fault by re-evaluating the
+/// fault site's static fanout cone, computed when the fault is excited.
+/// Nothing is compiled or cached, so it shares no evaluation code with the
+/// production engine. Grouped batches are simulated one group at a time on
+/// the calling thread; [`FaultSimOptions::threads`] is ignored.
 #[derive(Debug)]
 pub struct SerialSim<'a> {
     net: &'a Netlist,
+    /// Nodes driving a primary output or a flip-flop D input.
     observable: Vec<bool>,
-    path: EvalPath,
+    /// The faulty machine: equals the chunk's fault-free capture frame
+    /// between faults.
     scratch: Vec<u64>,
-    prop: fbt_sim::kernel::FaultProp,
-    cones: Vec<Option<Box<[NodeId]>>>,
 }
 
 impl<'a> SerialSim<'a> {
-    /// Build a serial engine for one netlist, running on the cached
-    /// compiled kernel (precomputes observability).
+    /// Build the oracle for one netlist (precomputes observability).
     pub fn new(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Compiled(Kernel::for_netlist(net)))
-    }
-
-    /// Build a serial engine on the gate-walking interpreter path — the
-    /// oracle the compiled kernels are differentially pinned against.
-    pub fn interpreted(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Interpreted)
-    }
-
-    fn with_path(net: &'a Netlist, path: EvalPath) -> Self {
+        let mut observable = vec![false; net.num_nodes()];
+        for &o in net.outputs() {
+            observable[o.index()] = true;
+        }
+        for &d in net.dffs() {
+            observable[net.node(d).fanins()[0].index()] = true;
+        }
         SerialSim {
             net,
-            observable: observability(net),
-            path,
+            observable,
             scratch: Vec::new(),
-            prop: fbt_sim::kernel::FaultProp::default(),
-            cones: vec![None; net.num_nodes()],
         }
     }
 
-    /// Simulate one test set against one flag vector (the pre-grouped
-    /// engine loop, unchanged).
+    /// Simulate one test set against one flag vector.
     fn simulate_one(
         &mut self,
         tests: TestSet<'_>,
@@ -1019,33 +821,49 @@ impl<'a> SerialSim<'a> {
     ) -> SimOutcome {
         let net = self.net;
         let mut accum = Accum::new(opts, faults.len(), tests.len());
-        // Borrow-friendly local worker view over this engine's state.
-        let mut worker = Worker {
-            scratch: std::mem::take(&mut self.scratch),
-            prop: std::mem::take(&mut self.prop),
-            cones: std::mem::take(&mut self.cones),
-        };
         for base in 0..tests.len().div_ceil(64) {
             let start = base * 64;
             let end = (start + 64).min(tests.len());
             let chunk = tests.pack(net, start, end);
-            let gm = eval_good(net, &chunk, &self.path);
-            accum.record_activity(&gm, base);
-            worker.load_good(&gm);
+            let gm = eval_good(net, &chunk, |vals| comb::eval_packed(net, vals));
+            self.scratch.clone_from(&gm.good);
             for (fi, fault) in faults.iter().enumerate() {
                 if opts.fault_dropping && detected[fi] {
                     continue;
                 }
-                let lanes = fault_lanes(net, &self.observable, &gm, &mut worker, fault, &self.path);
+                let lanes = self.fault_lanes(&gm, fault);
                 if lanes != 0 {
                     accum.record(fi, lanes, base, detected);
                 }
             }
         }
-        self.scratch = worker.scratch;
-        self.prop = worker.prop;
-        self.cones = worker.cones;
         accum.finish()
+    }
+
+    /// The lanes (bit per test) in which `fault` is detected in this chunk:
+    /// force the stuck word at the fault site, re-evaluate its fanout cone
+    /// and compare at observation points. The scratch machine equals
+    /// `gm.good` on entry and is restored before returning.
+    fn fault_lanes(&mut self, gm: &GoodMachine, fault: &TransitionFault) -> u64 {
+        let (stuck, excited) = excitation(gm, fault);
+        if excited == 0 {
+            return 0;
+        }
+        let cone = self.net.fanout_cone(fault.line);
+        let vals = &mut self.scratch;
+        vals[fault.line.index()] = stuck;
+        // cone[0] is the faulty line itself: it must keep the forced value,
+        // so evaluation starts at cone[1].
+        comb::eval_packed_cone(self.net, &cone[1..], vals);
+        let mut diff_obs = 0u64;
+        for &c in &cone {
+            let c = c.index();
+            if self.observable[c] {
+                diff_obs |= vals[c] ^ gm.good[c];
+            }
+            vals[c] = gm.good[c];
+        }
+        excited & diff_obs
     }
 }
 
@@ -1081,8 +899,47 @@ impl FaultSimEngine for SerialSim<'_> {
     }
 }
 
-/// The PPSFP engine: 64 tests per machine word, fault list sharded across
-/// worker threads with [`std::thread::scope`].
+/// Per-worker mutable state, reused across chunks: the faulty-machine
+/// scratch buffer and the kernel's event-propagation scratch.
+#[derive(Debug, Default)]
+struct Worker {
+    scratch: Vec<u64>,
+    prop: FaultProp,
+}
+
+impl Worker {
+    /// Reset the scratch buffer to the chunk's fault-free values.
+    fn load_good(&mut self, gm: &GoodMachine) {
+        self.scratch.clone_from(&gm.good);
+    }
+
+    /// The lanes (bit per test) in which `fault` is detected in this chunk.
+    ///
+    /// Single-fault propagation: [`Kernel::propagate`] forces the stuck
+    /// word at the fault site and runs an event-driven pass that
+    /// re-evaluates only the ops whose inputs change, diffing at the
+    /// observation points and restoring the scratch buffer (which must
+    /// equal `gm.good` on entry).
+    #[inline]
+    fn fault_lanes(&mut self, kernel: &Kernel, gm: &GoodMachine, fault: &TransitionFault) -> u64 {
+        let (stuck, excited) = excitation(gm, fault);
+        if excited == 0 {
+            return 0;
+        }
+        excited
+            & kernel.propagate(
+                &mut self.prop,
+                fault.line.index(),
+                stuck,
+                &mut self.scratch,
+                &gm.good,
+            )
+    }
+}
+
+/// The production engine: PPSFP on the cached compiled kernel, 64 tests
+/// per machine word, fault list sharded across worker threads with
+/// [`std::thread::scope`].
 ///
 /// In a grouped call the batch's candidates are concatenated into one
 /// dense test-index space, so tests from different groups share 64-lane
@@ -1095,40 +952,17 @@ impl FaultSimEngine for SerialSim<'_> {
 #[derive(Debug)]
 pub struct PackedParallelSim<'a> {
     net: &'a Netlist,
-    observable: Vec<bool>,
-    path: EvalPath,
+    kernel: Arc<Kernel>,
     workers: Vec<Worker>,
 }
 
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
-            .field(
-                "cached_cones",
-                &self.cones.iter().filter(|c| c.is_some()).count(),
-            )
-            .finish()
-    }
-}
-
 impl<'a> PackedParallelSim<'a> {
-    /// Build a parallel engine for one netlist, running on the cached
-    /// compiled kernel.
+    /// Build a parallel engine for one netlist on its cached compiled
+    /// kernel.
     pub fn new(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Compiled(Kernel::for_netlist(net)))
-    }
-
-    /// Build a parallel engine on the gate-walking interpreter path — the
-    /// oracle the compiled kernels are differentially pinned against.
-    pub fn interpreted(net: &'a Netlist) -> Self {
-        Self::with_path(net, EvalPath::Interpreted)
-    }
-
-    fn with_path(net: &'a Netlist, path: EvalPath) -> Self {
         PackedParallelSim {
             net,
-            observable: observability(net),
-            path,
+            kernel: Kernel::for_netlist(net),
             workers: Vec::new(),
         }
     }
@@ -1160,17 +994,12 @@ impl FaultSimEngine for PackedParallelSim<'_> {
     ) -> Vec<SimOutcome> {
         assert_eq!(faults.len(), baseline.len(), "flag vector length mismatch");
         let net = self.net;
-        // Cheap clone (an `Arc` at most), so worker threads can borrow it
-        // alongside the mutable borrow of `self.workers`.
-        let path = self.path.clone();
-        let path = &path;
+        let kernel: &Kernel = &self.kernel;
         let (offsets, spans) = group_layout(groups);
         let total = *offsets.last().unwrap();
         let threads = Self::resolve_threads(opts, faults.len());
-        while self.workers.len() < threads {
-            self.workers.push(Worker::new(net));
-        }
-        let observable = &self.observable;
+        self.workers
+            .resize_with(threads.max(self.workers.len()), Worker::default);
         let shard = faults.len().div_ceil(threads).max(1);
 
         // Per-group detection flags (baseline copies) and accumulators:
@@ -1190,10 +1019,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
         for (w, spans_w) in spans.iter().enumerate() {
             let n_tests = 64.min(total - w * 64);
             let chunk = pack_word(net, groups, spans_w, n_tests);
-            let gm = eval_good(net, &chunk, path);
-            for sp in spans_w {
-                accums[sp.group].record_activity_span(&gm, sp.mask(), sp.lane_lo, sp.local_base);
-            }
+            let gm = eval_good(net, &chunk, |vals| kernel.eval2(vals));
 
             if threads == 1 {
                 // Inline fast path: no spawn overhead.
@@ -1205,7 +1031,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
                     if opts.fault_dropping && spans_w.iter().all(|sp| dets[sp.group][fi]) {
                         continue;
                     }
-                    let lanes = fault_lanes(net, observable, &gm, worker, fault, path);
+                    let lanes = worker.fault_lanes(kernel, &gm, fault);
                     if lanes != 0 {
                         record_hit(
                             spans_w,
@@ -1241,8 +1067,7 @@ impl FaultSimEngine for PackedParallelSim<'_> {
                                     {
                                         continue;
                                     }
-                                    let lanes =
-                                        fault_lanes(net, observable, gm, worker, fault, path);
+                                    let lanes = worker.fault_lanes(kernel, gm, fault);
                                     if lanes != 0 {
                                         hits.push((offset + i, lanes));
                                     }
@@ -1422,36 +1247,6 @@ mod tests {
     }
 
     #[test]
-    fn first_detection_indices_are_earliest() {
-        let net = s27();
-        let faults = all_transition_faults(&net);
-        let tests = random_tests(100, 4, 3, 21);
-        let mut engine = PackedParallelSim::new(&net);
-        let mut det = vec![false; faults.len()];
-        let first = engine
-            .simulate(
-                (&tests[..]).into(),
-                &faults,
-                &mut det,
-                &FaultSimOptions::new().first_detection(true),
-            )
-            .first_detection
-            .expect("first detections were requested");
-        let mut oracle = SerialSim::new(&net);
-        for (fi, f) in faults.iter().enumerate() {
-            if let Some(ti) = first[fi] {
-                assert!(det[fi]);
-                for (tj, t) in tests.iter().enumerate().take(ti) {
-                    assert!(!oracle.detects(t, f), "test {tj} already detects {f}");
-                }
-                assert!(oracle.detects(&tests[ti], f));
-            } else {
-                assert!(!det[fi]);
-            }
-        }
-    }
-
-    #[test]
     fn batch_equals_single_test_runs() {
         let net = s27();
         let faults = all_transition_faults(&net);
@@ -1604,62 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn activity_accounting_matches_scalar_toggles() {
-        let net = s27();
-        let faults = all_transition_faults(&net);
-        let tests = random_tests(10, 4, 3, 3);
-        let mut engine = PackedParallelSim::new(&net);
-        let mut detected = vec![false; faults.len()];
-        let out = engine.simulate(
-            TestSet::Broadside(&tests),
-            &faults,
-            &mut detected,
-            &FaultSimOptions::new().activity(true),
-        );
-        let activity = out.activity.expect("activity requested");
-        assert_eq!(activity.len(), tests.len());
-        for (t, &toggles) in tests.iter().zip(&activity) {
-            // Scalar reference: count nodes differing between the two frames.
-            let mut f1 = vec![false; net.num_nodes()];
-            for (i, &id) in net.inputs().iter().enumerate() {
-                f1[id.index()] = t.v1.get(i);
-            }
-            for (i, &id) in net.dffs().iter().enumerate() {
-                f1[id.index()] = t.scan_in.get(i);
-            }
-            comb::eval_scalar(&net, &mut f1);
-            let mut f2 = vec![false; net.num_nodes()];
-            for (i, &id) in net.inputs().iter().enumerate() {
-                f2[id.index()] = t.v2.get(i);
-            }
-            for &d in net.dffs() {
-                f2[d.index()] = f1[net.node(d).fanins()[0].index()];
-            }
-            comb::eval_scalar(&net, &mut f2);
-            let expect = (0..net.num_nodes()).filter(|&i| f1[i] != f2[i]).count();
-            assert_eq!(toggles, expect, "test {t:?}");
-        }
-    }
-
-    #[test]
-    fn options_builder_roundtrip() {
-        let opts = FaultSimOptions::new()
-            .n_detect(7)
-            .threads(3)
-            .fault_dropping(false)
-            .first_detection(true)
-            .activity(true)
-            .until_first_accept(true);
-        assert_eq!(opts.n_detect_cap(), 7);
-        assert_eq!(opts.thread_count(), 3);
-        assert!(!opts.drops_faults());
-        assert!(opts.stops_at_first_accept());
-        let m = FaultSimOptions::new().detection_matrix(true);
-        assert!(!m.drops_faults(), "matrix recording implies no dropping");
-        assert!(!m.stops_at_first_accept());
-    }
-
-    #[test]
     fn empty_test_set_is_a_no_op() {
         let net = s27();
         let faults = all_transition_faults(&net);
@@ -1681,8 +1420,8 @@ mod tests {
         let tests = random_tests(90, 4, 3, 17);
         for opts in [
             FaultSimOptions::new(),
-            FaultSimOptions::new().n_detect(4).first_detection(true),
-            FaultSimOptions::new().fault_dropping(false).activity(true),
+            FaultSimOptions::new().n_detect(4),
+            FaultSimOptions::new().fault_dropping(false),
         ] {
             for mut engine in engines(&net) {
                 let baseline = vec![false; faults.len()];
@@ -1727,11 +1466,8 @@ mod tests {
         for opts in [
             FaultSimOptions::new(),
             FaultSimOptions::new().fault_dropping(false),
-            FaultSimOptions::new().n_detect(4).first_detection(true),
-            FaultSimOptions::new()
-                .detection_matrix(true)
-                .activity(true)
-                .first_detection(true),
+            FaultSimOptions::new().n_detect(4),
+            FaultSimOptions::new().detection_matrix(true),
         ] {
             let mut oracle = SerialSim::new(&net);
             let standalone: Vec<SimOutcome> = groups

@@ -1,9 +1,9 @@
-//! Pins the compiled-kernel evaluation path of both fault-simulation
-//! engines to the gate-walking interpreter path: kernels must build for
+//! Pins the compiled production engine (`PackedParallelSim`) to the
+//! gate-walking interpreter oracle (`SerialSim`): kernels must build for
 //! every catalog circuit the CI lint step covers, and every outcome field
-//! (detections, counts, first detections, detection matrix, activity)
-//! must be bit-identical between the two paths for every engine, batch
-//! shape and option set.
+//! (detections, counts, detection matrix, completion) must be
+//! bit-identical between the two engines for every batch shape and option
+//! set.
 
 use fbt_fault::engine::{FaultSimEngine, FaultSimOptions, PackedParallelSim, SerialSim, TestGroup};
 use fbt_fault::{all_transition_faults, BroadsideTest};
@@ -67,28 +67,13 @@ fn compiled_matches_interpreted_on_s27_grouped_batches() {
         for opts in [
             FaultSimOptions::new(),
             FaultSimOptions::new().until_first_accept(true),
-            FaultSimOptions::new()
-                .n_detect(3)
-                .first_detection(true)
-                .detection_matrix(true)
-                .activity(true),
+            FaultSimOptions::new().n_detect(3).detection_matrix(true),
         ] {
-            let compiled_outs = [
-                PackedParallelSim::new(&net).simulate_groups(&groups, &faults, &baseline, &opts),
-                SerialSim::new(&net).simulate_groups(&groups, &faults, &baseline, &opts),
-            ];
-            let interpreted_outs = [
-                PackedParallelSim::interpreted(&net)
-                    .simulate_groups(&groups, &faults, &baseline, &opts),
-                SerialSim::interpreted(&net).simulate_groups(&groups, &faults, &baseline, &opts),
-            ];
-            for (c, i) in compiled_outs.iter().zip(&interpreted_outs) {
-                assert_eq!(c, i, "batch {batch}");
-            }
-            assert_eq!(
-                compiled_outs[0], compiled_outs[1],
-                "packed vs serial on the compiled path, batch {batch}"
-            );
+            let compiled =
+                PackedParallelSim::new(&net).simulate_groups(&groups, &faults, &baseline, &opts);
+            let interpreted =
+                SerialSim::new(&net).simulate_groups(&groups, &faults, &baseline, &opts);
+            assert_eq!(compiled, interpreted, "batch {batch}");
         }
     }
 }
@@ -112,20 +97,12 @@ fn compiled_matches_interpreted_on_iscas_and_random_netlists() {
     for net in &nets {
         let faults = all_transition_faults(net);
         let tests = random_tests(net, 70, &mut rng);
-        let opts = FaultSimOptions::new()
-            .n_detect(2)
-            .first_detection(true)
-            .activity(true);
+        let opts = FaultSimOptions::new().n_detect(2);
         let mut det_c = vec![false; faults.len()];
         let out_c =
             PackedParallelSim::new(net).simulate((&tests[..]).into(), &faults, &mut det_c, &opts);
         let mut det_i = vec![false; faults.len()];
-        let out_i = PackedParallelSim::interpreted(net).simulate(
-            (&tests[..]).into(),
-            &faults,
-            &mut det_i,
-            &opts,
-        );
+        let out_i = SerialSim::new(net).simulate((&tests[..]).into(), &faults, &mut det_i, &opts);
         assert_eq!(out_c, out_i, "{}", net.name());
         assert_eq!(det_c, det_i, "{}", net.name());
     }
@@ -155,14 +132,14 @@ fn compiled_golden_two_pattern_holding_path() {
         })
         .collect();
     let mut det_c = vec![false; faults.len()];
-    let out_c = SerialSim::new(&net).simulate(
+    let out_c = PackedParallelSim::new(&net).simulate(
         (&two[..]).into(),
         &faults,
         &mut det_c,
         &FaultSimOptions::new(),
     );
     let mut det_i = vec![false; faults.len()];
-    let out_i = SerialSim::interpreted(&net).simulate(
+    let out_i = SerialSim::new(&net).simulate(
         (&two[..]).into(),
         &faults,
         &mut det_i,
@@ -192,7 +169,7 @@ fn one_test_per_bit_uses_partial_lane_masks() {
             )
             .newly_detected;
         let mut det_i = vec![false; faults.len()];
-        let n_i = PackedParallelSim::interpreted(&net)
+        let n_i = SerialSim::new(&net)
             .simulate(
                 (&tests[..]).into(),
                 &faults,

@@ -135,9 +135,9 @@ fn grouped_equals_independent_serial_runs() {
     }
 }
 
-/// Group-local bookkeeping (first-detection indices, detection matrices,
-/// switching activity) must come out as if each group were simulated on
-/// its own, despite being interleaved into shared words.
+/// Group-local bookkeeping (detection matrices) must come out as if each
+/// group were simulated on its own, despite being interleaved into shared
+/// words.
 #[test]
 fn grouped_bookkeeping_is_group_local() {
     let mut rng = Rng::new(21);
@@ -150,10 +150,7 @@ fn grouped_bookkeeping_is_group_local() {
             .map(|&n| random_tests(&net, n, &mut rng))
             .collect();
         let groups: Vec<TestGroup<'_>> = sets.iter().map(|s| TestGroup::new(&s[..])).collect();
-        let opts = FaultSimOptions::new()
-            .detection_matrix(true)
-            .first_detection(true)
-            .activity(true);
+        let opts = FaultSimOptions::new().detection_matrix(true);
         let oracle = independent_runs(&net, &groups, &faults, &baseline, &opts);
         for threads in THREADS {
             let mut packed = PackedParallelSim::new(&net);

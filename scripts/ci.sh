@@ -28,6 +28,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== offline release build =="
 cargo build --release --offline
 
+echo "== benchmark package (own workspace, not covered by --workspace) =="
+# perfbench is a separate Cargo workspace over the library crates, so
+# nothing above builds it: a public-API trim could otherwise break the
+# benchmark without failing CI.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1 tests =="
 cargo test -q
 
@@ -243,8 +249,9 @@ echo "== compiled kernels (18-circuit builds + compiled-vs-interpreter golden) =
 # The compiled-kernel layer must (a) build a kernel for every catalog
 # circuit the lint golden step covers and (b) be bit-identical to the
 # gate-walking interpreter on values, detections, per-lane SWA and every
-# outcome field — including the s27 grouped fixture at batch {1, 4, 16}.
-# The interpreter stays the oracle; these suites are the pin.
+# outcome field. For fault simulation the pin is the compiled
+# PackedParallelSim against the interpreter oracle SerialSim, including the
+# s27 grouped fixture at batch {1, 4, 16}.
 cargo test --release -q -p fbt-sim --test kernel_differential
 cargo test --release -q -p fbt-fault --test compiled_kernel
 
