@@ -18,6 +18,17 @@
 //! | POST   | `/jobs/<id>/cancel` | cancel queued, or flag a running job        |
 //! | POST   | `/admin/shutdown`   | drain every job, then stop accepting        |
 //!
+//! Retention: a finished job stays fetchable through `/jobs/<id>` and
+//! `/jobs/<id>/result` until [`RETAINED_JOBS`](crate::pool::RETAINED_JOBS)
+//! (64) later jobs have finished; then both answer 404. Queued and running
+//! jobs are always fetchable. `/stats` reports `pool.retained` and
+//! `pool.evicted`.
+//!
+//! Connections: `TCP_NODELAY` is set on every accepted stream, each
+//! response is one write, requests pipelined on a keep-alive connection are
+//! answered in order, and a peer that stops sending or reading is dropped
+//! after a 30 s timeout.
+//!
 //! Shutdown ordering matters: the handler first drains the pool (new
 //! submissions are rejected, every queued and running job runs to its
 //! single commit) and marks shutdown *pending*; the connection thread
@@ -27,7 +38,7 @@
 //! double-committed, and the shutdown client always gets its answer
 //! before the process can exit.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -40,6 +51,9 @@ use crate::http::{read_request, write_response, Request};
 use crate::jobs::{error_json, JobSpec, JobStatus};
 use crate::pool::Pool;
 use crate::store::ContentStore;
+
+/// Read and write timeout on every accepted connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Shared server state: the store, the pool, and the shutdown latch.
 pub struct ServerState {
@@ -263,18 +277,25 @@ impl Server {
 
 /// Serve one connection: read requests until the peer closes, asks to
 /// close, errors, or the server shuts down.
-fn serve_connection(state: &ServerState, mut stream: TcpStream) {
-    // A stuck peer must not pin this thread forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+fn serve_connection(state: &ServerState, stream: TcpStream) {
+    // Responses are single writes (see `write_response`); with Nagle off a
+    // response never waits for the client's delayed ACK either.
+    let _ = stream.set_nodelay(true);
+    // A stuck peer, one that stops sending or stops reading, must not pin
+    // this thread forever.
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    // One reader for the whole connection keeps pipelined request bytes.
+    let mut reader = BufReader::new(stream);
     loop {
-        let req = match read_request(&mut stream) {
+        let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) | Err(_) => return,
         };
         let (status, body) = state.handle(&req);
         let keep_alive = req.keep_alive && !state.is_shutdown();
         let write_ok = write_response(
-            &mut stream,
+            reader.get_mut(),
             status,
             "application/json",
             body.as_bytes(),
@@ -396,6 +417,91 @@ mod tests {
         let (status, _) = state.handle(&request("POST", "/circuits?format=bench&name=v4", &v));
         assert_eq!(status, 400);
         state.pool.drain();
+    }
+
+    /// A finished job stays fetchable until `RETAINED_JOBS` later jobs
+    /// have finished; then the pool forgets it and the endpoints say 404.
+    #[test]
+    fn finished_jobs_beyond_the_retention_cap_are_evicted() {
+        use crate::pool::RETAINED_JOBS;
+        const EXTRA: usize = 8;
+        // One worker commits in submission order, so the first `EXTRA`
+        // ids are exactly the evicted ones.
+        let state = ServerState::new(Arc::new(ContentStore::with_catalog()), 1, 1);
+        let ids: Vec<u64> = (0..RETAINED_JOBS + EXTRA)
+            .map(|_| {
+                let (status, body) = state.handle(&request(
+                    "POST",
+                    "/jobs",
+                    "{\"circuit\":\"s27\",\"kind\":\"lint\"}",
+                ));
+                assert_eq!(status, 202, "{body}");
+                Json::parse(&body)
+                    .unwrap()
+                    .get("job")
+                    .and_then(Json::as_u64)
+                    .unwrap()
+            })
+            .collect();
+        state.pool.drain();
+        for &id in &ids[..EXTRA] {
+            assert!(state.pool.get(id).is_none(), "job {id} outlived the cap");
+            for path in [format!("/jobs/{id}"), format!("/jobs/{id}/result")] {
+                let (status, _) = state.handle(&request("GET", &path, ""));
+                assert_eq!(status, 404, "{path}");
+            }
+        }
+        for &id in &ids[EXTRA..] {
+            assert!(state.pool.get(id).is_some(), "job {id} evicted early");
+            let (status, _) = state.handle(&request("GET", &format!("/jobs/{id}/result"), ""));
+            assert_eq!(status, 200);
+        }
+        let c = state.pool.counters();
+        assert_eq!(c.completed.load(Ordering::Relaxed), ids.len());
+        assert_eq!(c.double_commits.load(Ordering::Relaxed), 0);
+        let stats = Json::parse(&state.stats_json()).unwrap();
+        let pool = stats.get("pool").unwrap();
+        assert_eq!(
+            pool.get("retained").and_then(Json::as_u64),
+            Some(RETAINED_JOBS as u64)
+        );
+        assert_eq!(
+            pool.get("evicted").and_then(Json::as_u64),
+            Some(EXTRA as u64)
+        );
+    }
+
+    /// Two requests sent in one segment get two responses, in order: the
+    /// bytes of the second are kept across the first's handling.
+    #[test]
+    fn pipelined_requests_are_all_answered() {
+        use crate::http::read_response;
+        use std::io::Write;
+        let state = test_state();
+        let server = Server::bind("127.0.0.1:0", state.clone()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let accept_loop = std::thread::spawn(move || server.run());
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let upload = "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n";
+        let pipelined = format!(
+            "POST /circuits?name=inv HTTP/1.1\r\nContent-Length: {}\r\n\r\n{upload}\
+             GET /circuits/inv HTTP/1.1\r\n\r\n",
+            upload.len()
+        );
+        stream.write_all(pipelined.as_bytes()).unwrap();
+        let mut reader = BufReader::new(&stream);
+        let first = read_response(&mut reader).unwrap();
+        assert_eq!(first.status, 201, "{}", first.body_text());
+        let second = read_response(&mut reader).unwrap();
+        assert_eq!(second.status, 200, "{}", second.body_text());
+        assert_eq!(second.body_text(), first.body_text());
+        drop(reader);
+        let resp = crate::http::send_request(&mut stream, "POST", "/admin/shutdown", b"").unwrap();
+        assert_eq!(resp.status, 200);
+        accept_loop.join().unwrap();
     }
 
     #[test]

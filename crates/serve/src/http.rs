@@ -2,14 +2,16 @@
 //! job service and its load generator, with no external dependencies.
 //!
 //! Server side: [`read_request`] parses one request (request line, headers,
-//! `Content-Length` body) from a stream; [`write_response`] emits one
+//! `Content-Length` body) from a buffered reader that lives as long as the
+//! connection, so pipelined requests are kept; [`write_response`] emits one
 //! response. Client side: [`send_request`] writes a request and parses the
 //! response, so the load generator and the tests speak the same dialect.
+//! Every message, request or response, goes out as a single write.
 //! Persistent connections are supported (HTTP/1.1 keep-alive semantics);
 //! chunked transfer encoding is not — every body carries an explicit
 //! `Content-Length`, which keeps framing trivial and deterministic.
 
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 /// Upper bound on the request head (request line + headers).
@@ -48,27 +50,27 @@ impl Request {
     }
 }
 
-/// Read bytes until the `\r\n\r\n` head terminator, returning the head and
-/// any body bytes already consumed. `Ok(None)` means the peer closed the
-/// connection cleanly before sending anything.
-fn read_head(stream: &mut TcpStream) -> io::Result<Option<(Vec<u8>, Vec<u8>)>> {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
+/// Read bytes up to and including the `\r\n\r\n` head terminator and
+/// return the head without it. Bytes past the terminator stay in `reader`.
+/// `Ok(None)` means the peer closed the connection cleanly before sending
+/// anything.
+fn read_head<R: BufRead>(reader: &mut R) -> io::Result<Option<Vec<u8>>> {
+    let mut head: Vec<u8> = Vec::with_capacity(512);
     loop {
-        if let Some(pos) = find_head_end(&buf) {
-            let rest = buf.split_off(pos + 4);
-            buf.truncate(pos);
-            return Ok(Some((buf, rest)));
+        let budget = (MAX_HEAD + 1 - head.len()) as u64;
+        let n = reader.by_ref().take(budget).read_until(b'\n', &mut head)?;
+        if head.ends_with(b"\r\n\r\n") {
+            head.truncate(head.len() - 4);
+            return Ok(Some(head));
         }
-        if buf.len() > MAX_HEAD {
+        if head.len() > MAX_HEAD {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "request head too large",
             ));
         }
-        let n = stream.read(&mut chunk)?;
         if n == 0 {
-            if buf.is_empty() {
+            if head.is_empty() {
                 return Ok(None);
             }
             return Err(io::Error::new(
@@ -76,39 +78,27 @@ fn read_head(stream: &mut TcpStream) -> io::Result<Option<(Vec<u8>, Vec<u8>)>> {
                 "connection closed mid-head",
             ));
         }
-        buf.extend_from_slice(&chunk[..n]);
     }
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn read_exact_body(stream: &mut TcpStream, mut body: Vec<u8>, len: usize) -> io::Result<Vec<u8>> {
+/// Read exactly `len` body bytes; anything after them stays in `reader`.
+fn read_body<R: BufRead>(reader: &mut R, len: usize) -> io::Result<Vec<u8>> {
     if len > MAX_BODY {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
     }
-    body.truncate(body.len().min(len));
-    let mut remaining = len - body.len();
-    let mut chunk = [0u8; 4096];
-    while remaining > 0 {
-        let n = stream.read(&mut chunk[..remaining.min(4096)])?;
-        if n == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "connection closed mid-body",
-            ));
-        }
-        body.extend_from_slice(&chunk[..n]);
-        remaining -= n;
-    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body)?;
     Ok(body)
 }
 
-/// Read and parse one request from the stream. `Ok(None)` means the peer
-/// closed the connection cleanly between requests (normal keep-alive end).
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
-    let Some((head, early_body)) = read_head(stream)? else {
+/// Read and parse one request. `Ok(None)` means the peer closed the
+/// connection cleanly between requests (normal keep-alive end).
+///
+/// The reader must live as long as the connection: a client may pipeline,
+/// sending the next request in the same segment as this one, and those
+/// bytes stay buffered in `reader` for the next call.
+pub fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<Request>> {
+    let Some(head) = read_head(reader)? else {
         return Ok(None);
     };
     let head = String::from_utf8_lossy(&head).into_owned();
@@ -158,7 +148,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
         Some("keep-alive") => true,
         _ => version == "HTTP/1.1",
     };
-    let body = read_exact_body(stream, early_body, content_length)?;
+    let body = read_body(reader, content_length)?;
     Ok(Some(Request {
         method,
         path,
@@ -184,6 +174,10 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Write one response with an explicit `Content-Length`.
+///
+/// Head and body go out in a single write: written separately, the body
+/// waits behind Nagle's algorithm for the peer's delayed ACK of the head,
+/// about 40 ms per exchange on Linux loopback.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -199,8 +193,14 @@ pub fn write_response(
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    write_message(stream, head, body)
+}
+
+/// Send a head and its body as one buffer (see [`write_response`]).
+fn write_message(stream: &mut TcpStream, head: String, body: &[u8]) -> io::Result<()> {
+    let mut message = head.into_bytes();
+    message.extend_from_slice(body);
+    stream.write_all(&message)?;
     stream.flush()
 }
 
@@ -222,6 +222,7 @@ impl Response {
 
 /// Client side: write one request over an open connection and read the
 /// response. The connection stays usable for further requests (keep-alive).
+/// Like [`write_response`], the request goes out in a single write.
 pub fn send_request(
     stream: &mut TcpStream,
     method: &str,
@@ -232,10 +233,15 @@ pub fn send_request(
         "{method} {path} HTTP/1.1\r\nHost: fbt-serve\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
         body.len(),
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()?;
-    let Some((head, early_body)) = read_head(stream)? else {
+    write_message(stream, head, body)?;
+    // The server answers each request with exactly one response, so no
+    // bytes past it can be lost with this reader.
+    read_response(&mut BufReader::new(stream))
+}
+
+/// Read and parse one response.
+pub(crate) fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
+    let Some(head) = read_head(reader)? else {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed before response",
@@ -261,7 +267,7 @@ pub fn send_request(
             }
         }
     }
-    let body = read_exact_body(stream, early_body, content_length)?;
+    let body = read_body(reader, content_length)?;
     Ok(Response { status, body })
 }
 
@@ -276,19 +282,21 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let req = read_request(&mut stream).unwrap().unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let req = read_request(&mut reader).unwrap().unwrap();
             assert_eq!(req.method, "POST");
             assert_eq!(req.path, "/circuits");
             assert_eq!(req.body_text(), "INPUT(a)\n");
             assert!(req.keep_alive);
-            write_response(&mut stream, 201, "application/json", b"{\"ok\":true}", true).unwrap();
+            let ok = b"{\"ok\":true}";
+            write_response(reader.get_mut(), 201, "application/json", ok, true).unwrap();
             // Second request on the same connection.
-            let req = read_request(&mut stream).unwrap().unwrap();
+            let req = read_request(&mut reader).unwrap().unwrap();
             assert_eq!(req.method, "GET");
-            write_response(&mut stream, 200, "application/json", b"{}", false).unwrap();
+            write_response(reader.get_mut(), 200, "application/json", b"{}", false).unwrap();
             // Clean close between requests reads as None.
-            assert!(read_request(&mut stream).unwrap().is_none());
+            assert!(read_request(&mut reader).unwrap().is_none());
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let resp = send_request(&mut stream, "POST", "/circuits", b"INPUT(a)\n").unwrap();
@@ -305,8 +313,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            read_request(&mut stream)
+            let (stream, _) = listener.accept().unwrap();
+            read_request(&mut BufReader::new(stream))
         });
         let mut stream = TcpStream::connect(addr).unwrap();
         let garbage = vec![b'x'; MAX_HEAD + 1024];
@@ -315,5 +323,36 @@ mod tests {
         drop(stream);
         let err = server.join().unwrap();
         assert!(err.is_err());
+    }
+
+    /// One keep-alive exchange costs a loopback round trip, not a delayed
+    /// ACK: 40 POSTs with bodies finish far inside a second. Written as two
+    /// segments, each message stalls behind Nagle's algorithm for ~40 ms.
+    #[test]
+    fn keep_alive_exchanges_do_not_stall() {
+        const EXCHANGES: usize = 40;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            while let Some(req) = read_request(&mut reader).unwrap() {
+                write_response(reader.get_mut(), 200, "text/plain", &req.body, true).unwrap();
+            }
+        });
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let t0 = std::time::Instant::now();
+        for i in 0..EXCHANGES {
+            let body = format!("{{\"exchange\":{i}}}");
+            let resp = send_request(&mut stream, "POST", "/echo", body.as_bytes()).unwrap();
+            assert_eq!(resp.body_text(), body);
+        }
+        let elapsed = t0.elapsed();
+        drop(stream);
+        server.join().unwrap();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{EXCHANGES} exchanges took {elapsed:?}"
+        );
     }
 }

@@ -14,6 +14,12 @@
 //! the CLI uses, with its own config and master seed, so results are
 //! byte-identical however the jobs are interleaved or stolen.
 //!
+//! Retention: the job registry holds every queued and running job, plus
+//! the [`RETAINED_JOBS`] most recently finished ones. A finished job stays
+//! fetchable until that many later jobs have finished; then it leaves the
+//! registry and [`Pool::get`] no longer finds it. This bounds the server's
+//! memory however long it runs.
+//!
 //! Shutdown is a drain: submissions are rejected, workers finish every
 //! queued and running job (cancelled-while-queued jobs are committed as
 //! such, not dropped), and [`Pool::drain`] returns once
@@ -31,6 +37,13 @@ use fbt_sim::kernel::Kernel;
 
 use crate::jobs::{execute, Job, JobKind, JobSpec};
 use crate::store::ContentStore;
+
+/// How many finished (`Done`, `Failed` or `Cancelled`) jobs the registry
+/// keeps. Jobs leave it oldest-commit first; queued and running jobs are
+/// never evicted. A client fetches its result right after its poll sees
+/// the job finish, so the cap only has to outlast the jobs that finish in
+/// between; 64 is twice `loadgen`'s 32 clients.
+pub const RETAINED_JOBS: usize = 64;
 
 /// Monotone pool activity counters (process lifetime).
 #[derive(Debug, Default)]
@@ -54,11 +67,20 @@ pub struct PoolCounters {
     /// Jobs observed taking a second terminal transition (always 0 when
     /// healthy; surfaced so tests and `/stats` can assert it).
     pub double_commits: AtomicUsize,
+    /// Finished jobs dropped from the registry past [`RETAINED_JOBS`].
+    pub evicted: AtomicUsize,
+}
+
+/// Every live job by id, and the finished ones in commit order.
+#[derive(Default)]
+struct Registry {
+    jobs: HashMap<u64, Arc<Job>>,
+    finished: VecDeque<u64>,
 }
 
 struct Shared {
     shards: Vec<Mutex<VecDeque<u64>>>,
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    registry: Mutex<Registry>,
     store: Arc<ContentStore>,
     counters: PoolCounters,
     draining: AtomicBool,
@@ -75,6 +97,22 @@ impl Shared {
         self.shards
             .iter()
             .all(|s| s.lock().expect("shard poisoned").is_empty())
+    }
+
+    fn registry(&self) -> std::sync::MutexGuard<'_, Registry> {
+        self.registry.lock().expect("job registry poisoned")
+    }
+
+    /// Record a job's commit, evicting the oldest finished jobs beyond
+    /// [`RETAINED_JOBS`].
+    fn retire(&self, id: u64) {
+        let mut registry = self.registry();
+        registry.finished.push_back(id);
+        while registry.finished.len() > RETAINED_JOBS {
+            let oldest = registry.finished.pop_front().expect("over the cap");
+            registry.jobs.remove(&oldest);
+            self.counters.evicted.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn queued(&self) -> usize {
@@ -103,7 +141,7 @@ impl Pool {
             shards: (0..num_shards)
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
-            jobs: Mutex::new(HashMap::new()),
+            registry: Mutex::new(Registry::default()),
             store,
             counters: PoolCounters::default(),
             draining: AtomicBool::new(false),
@@ -144,11 +182,7 @@ impl Pool {
             .ok_or_else(|| format!("unknown circuit {:?}", spec.circuit))?;
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
         let job = Arc::new(Job::new(id, spec, entry));
-        self.shared
-            .jobs
-            .lock()
-            .expect("job registry poisoned")
-            .insert(id, job.clone());
+        self.shared.registry().jobs.insert(id, job.clone());
         let shard = self.shared.next_shard.fetch_add(1, Ordering::Relaxed) % self.num_shards;
         self.shared.shards[shard]
             .lock()
@@ -162,14 +196,10 @@ impl Pool {
         Ok(job)
     }
 
-    /// Look a job up by id.
+    /// Look a job up by id. `None` for unknown ids and for finished jobs
+    /// already evicted (see [`RETAINED_JOBS`]).
     pub fn get(&self, id: u64) -> Option<Arc<Job>> {
-        self.shared
-            .jobs
-            .lock()
-            .expect("job registry poisoned")
-            .get(&id)
-            .cloned()
+        self.shared.registry().jobs.get(&id).cloned()
     }
 
     /// The backing store.
@@ -212,7 +242,9 @@ impl Pool {
             .num("steals", c.steals.load(Ordering::Relaxed))
             .num("pin_hits", c.pin_hits.load(Ordering::Relaxed))
             .num("pin_misses", c.pin_misses.load(Ordering::Relaxed))
-            .num("double_commits", c.double_commits.load(Ordering::Relaxed));
+            .num("double_commits", c.double_commits.load(Ordering::Relaxed))
+            .num("retained", self.shared.registry().finished.len())
+            .num("evicted", c.evicted.load(Ordering::Relaxed));
         o.finish()
     }
 
@@ -295,24 +327,27 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
 }
 
 fn run_one(shared: &Shared, id: u64, pins: &mut HashMap<u128, Arc<Kernel>>) {
-    let Some(job) = shared
-        .jobs
-        .lock()
-        .expect("job registry poisoned")
-        .get(&id)
-        .cloned()
-    else {
+    let Some(job) = shared.registry().jobs.get(&id).cloned() else {
         return;
     };
+    if commit(shared, &job, pins) > 0 {
+        shared
+            .counters
+            .double_commits
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    shared.retire(id);
+}
+
+/// Run a popped job, or skip it if it was cancelled while queued, and make
+/// its terminal commit. Returns the commits it already had (0 when healthy).
+fn commit(shared: &Shared, job: &Job, pins: &mut HashMap<u128, Arc<Kernel>>) -> usize {
     let counters = &shared.counters;
     if !job.claim() {
         // Cancelled while queued: the skip is the job's single commit.
         let prev = job.commit_cancelled();
-        if prev > 0 {
-            counters.double_commits.fetch_add(1, Ordering::Relaxed);
-        }
         counters.cancelled.fetch_add(1, Ordering::Relaxed);
-        return;
+        return prev;
     }
     if job.spec.kind == JobKind::Generate {
         match pins.entry(job.circuit.digest) {
@@ -325,7 +360,7 @@ fn run_one(shared: &Shared, id: u64, pins: &mut HashMap<u128, Arc<Kernel>>) {
             }
         }
     }
-    let prev = match execute(&job, &shared.store) {
+    match execute(job, &shared.store) {
         Ok(artifact) => {
             let prev = job.complete(artifact);
             counters.completed.fetch_add(1, Ordering::Relaxed);
@@ -336,9 +371,6 @@ fn run_one(shared: &Shared, id: u64, pins: &mut HashMap<u128, Arc<Kernel>>) {
             counters.failed.fetch_add(1, Ordering::Relaxed);
             prev
         }
-    };
-    if prev > 0 {
-        counters.double_commits.fetch_add(1, Ordering::Relaxed);
     }
 }
 

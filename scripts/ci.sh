@@ -302,9 +302,11 @@ echo "== fbt-serve smoke (HTTP job service + loadgen + graceful shutdown) =="
 # Start the job service on an ephemeral port, replay a small concurrent
 # request mix over the 18-circuit catalog with the load generator, and
 # check the report: zero errors, every job committed exactly once, ordered
-# latency percentiles. The loadgen --shutdown flag then drains the server
-# through POST /admin/shutdown; the server process must exit 0 on its own
-# (no kill), which is the graceful-shutdown gate.
+# latency percentiles, a warm keep-alive round trip well under the ~40 ms a
+# Nagle/delayed-ACK stall adds to every exchange, and the finished-job
+# registry within its 64-job retention cap. The loadgen --shutdown flag
+# then drains the server through POST /admin/shutdown; the server process
+# must exit 0 on its own (no kill), which is the graceful-shutdown gate.
 serve_port_file=$(mktemp); rm -f "${serve_port_file}"
 serve_out=$(mktemp)
 target/release/fbt-serve --addr 127.0.0.1:0 --shards 2 --workers 2 \
@@ -333,7 +335,10 @@ pool = d["server_stats"]["pool"]
 assert pool["submitted"] == pool["completed"] == 60, pool
 assert pool["failed"] == 0 and pool["double_commits"] == 0, pool
 assert pool["queued"] == 0 and pool["inflight"] == 0, pool
+assert pool["retained"] <= 64, pool
+assert pool["retained"] + pool["evicted"] == pool["completed"], pool
 assert d["server_stats"]["kernel_cache"]["builds"] >= 1, d["server_stats"]
+assert d["rtt_ms"] < 10, f"per-exchange stall: GET /health takes {d['rtt_ms']} ms"
 EOF
 wait "${serve_pid}"
 grep -q "drained and stopped" "${serve_out}"
