@@ -1,5 +1,6 @@
 //! Self-contained benches for the performance kernels: packed logic
-//! simulation, the packed-parallel fault-simulation engine, the TPG
+//! simulation, the compiled kernel and the multi-lane sequential
+//! simulator, the packed-parallel fault-simulation engine, the TPG
 //! hardware model and K-critical-path STA. These correspond to the
 //! per-sub-procedure run-time comparisons of Tables 2.5 / 2.6 at kernel
 //! granularity.
@@ -7,7 +8,7 @@
 //! Criterion is deliberately not used: the build environment is offline, so
 //! the harness is a plain `fn main()` with `std::time::Instant` timing
 //! (`harness = false` in the manifest). Run with
-//! `cargo bench --bench kernels`.
+//! `cargo bench -p fbt-bench --bench kernels`.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -19,7 +20,9 @@ use fbt_fault::{
 };
 use fbt_netlist::rng::Rng;
 use fbt_netlist::synth;
-use fbt_sim::comb;
+use fbt_sim::kernel::Kernel;
+use fbt_sim::lanes::LaneSeqSim;
+use fbt_sim::{comb, Bits};
 use fbt_timing::sta::{k_critical_paths, Unconstrained};
 use fbt_timing::DelayLibrary;
 
@@ -140,6 +143,35 @@ fn bench_fault_sim_engines() {
     }
 }
 
+/// The Chapter-4 seed search's per-cycle cost on the `bist_large` target
+/// size (s35932 at the Default-scale divisor 8): one compiled evaluation,
+/// and one 8-lane `LaneSeqSim` step (evaluation, toggle counting, state
+/// capture).
+fn bench_lane_sim() {
+    let net = synth::generate(&synth::find("s35932").unwrap().scaled(8));
+    let kernel = Kernel::for_netlist(&net);
+    let mut rng = Rng::new(3);
+    let mut vals: Vec<u64> = (0..net.num_nodes()).map(|_| rng.next_u64()).collect();
+    bench("eval2_s35932@8", || kernel.eval2(black_box(&mut vals)));
+
+    let lanes = 8;
+    let cycles = 64;
+    let pis: Vec<Vec<Bits>> = (0..cycles)
+        .map(|_| {
+            (0..lanes)
+                .map(|_| (0..net.num_inputs()).map(|_| rng.bit()).collect())
+                .collect()
+        })
+        .collect();
+    let mut sim = LaneSeqSim::new(&net, lanes);
+    sim.broadcast_state(&Bits::zeros(net.num_dffs()));
+    let mut c = 0;
+    bench("lanes_step_s35932@8_8lanes", || {
+        sim.step(black_box(&pis[c % cycles]), None);
+        c += 1;
+    });
+}
+
 fn bench_tpg() {
     let net = net_1196();
     let spec = TpgSpec::standard(cube::input_cube(&net));
@@ -165,6 +197,7 @@ fn main() {
             .unwrap_or(1)
     );
     bench_packed_eval();
+    bench_lane_sim();
     bench_fault_sim_engines();
     bench_tpg();
     bench_sta();

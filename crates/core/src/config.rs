@@ -31,7 +31,7 @@ pub struct FunctionalBistConfig {
     /// Length of each functional input sequence (30 000 in the paper).
     pub func_len: usize,
     /// State holding period exponent `h`: hold every `2^h` cycles (2 in the
-    /// paper: every 4 cycles).
+    /// paper: every 4 cycles). Must be in `1..=63`.
     pub hold_period_log2: u32,
     /// Height `H` of the binary set-selection tree (6 in the paper).
     pub hold_tree_height: u32,
@@ -124,7 +124,12 @@ impl FunctionalBistConfig {
         assert!(self.useless_seed_limit > 0, "U must be positive");
         assert!(self.segment_failure_limit > 0, "R must be positive");
         assert!(self.attempt_failure_limit > 0, "Q must be positive");
-        assert!(self.hold_period_log2 >= 1, "h must be >= 1");
+        // `StateOverlay::hold_mask_at` tests `c mod 2^h` with a 64-bit
+        // mask, like the hardware counter's `hold_enable`.
+        assert!(
+            (1..=63).contains(&self.hold_period_log2),
+            "h must be in 1..=63"
+        );
         assert!(self.m >= 2, "m must be >= 2");
         self.search.validate();
     }
@@ -165,6 +170,25 @@ mod tests {
     fn odd_length_rejected() {
         let c = FunctionalBistConfig {
             seq_len: 7,
+            ..FunctionalBistConfig::smoke()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "h must be in 1..=63")]
+    fn hold_period_above_63_rejected() {
+        let c = FunctionalBistConfig {
+            hold_period_log2: 64,
+            ..FunctionalBistConfig::smoke()
+        };
+        c.validate();
+    }
+
+    #[test]
+    fn hold_period_63_accepted() {
+        let c = FunctionalBistConfig {
+            hold_period_log2: 63,
             ..FunctionalBistConfig::smoke()
         };
         c.validate();

@@ -8,7 +8,8 @@
 
 use fbt_netlist::Netlist;
 
-use crate::seq::{simulate_sequence, Trajectory};
+use crate::lanes::LaneSeqSim;
+use crate::seq::Trajectory;
 use crate::Bits;
 
 /// Per-cycle switching activity of one simulated sequence, with helpers.
@@ -62,19 +63,40 @@ impl ActivityProfile {
 /// sequences, each applied from `initial_state` — the paper's `SWAfunc`
 /// when the sequences are functional input sequences of the design.
 ///
+/// The sequences run as lanes of one [`LaneSeqSim`] pass per 64 of them.
+/// Lengths may differ: a lane past its end is driven with zeros and its
+/// activity ignored. The result equals the fold of
+/// [`simulate_sequence`](crate::seq::simulate_sequence)`(..).peak_swa()`
+/// over the sequences bit for bit.
+///
 /// # Panics
 ///
 /// Panics on width mismatches.
 pub fn peak_activity(net: &Netlist, initial_state: &Bits, sequences: &[Vec<Bits>]) -> f64 {
-    sequences
-        .iter()
-        .map(|seq| simulate_sequence(net, initial_state, seq).peak_swa())
-        .fold(0.0f64, f64::max)
+    let idle = Bits::zeros(net.num_inputs());
+    let mut peak = 0.0f64;
+    for chunk in sequences.chunks(64) {
+        let mut sim = LaneSeqSim::new(net, chunk.len());
+        sim.broadcast_state(initial_state);
+        let cycles = chunk.iter().map(Vec::len).max().unwrap_or(0);
+        for c in 0..cycles {
+            sim.step_with(|l| chunk[l].get(c).unwrap_or(&idle), None);
+            if let Some(swa) = sim.swa() {
+                for (seq, &s) in chunk.iter().zip(swa) {
+                    if c < seq.len() {
+                        peak = peak.max(s);
+                    }
+                }
+            }
+        }
+    }
+    peak
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::simulate_sequence;
     use fbt_netlist::s27;
 
     fn toggling_sequence(len: usize) -> Vec<Bits> {
@@ -117,6 +139,53 @@ mod tests {
         let peak_quiet = peak_activity(&net, &Bits::zeros(3), &[quiet]);
         let peak_both = peak_activity(&net, &Bits::zeros(3), &both);
         assert!(peak_both >= peak_quiet);
+    }
+
+    /// The scalar oracle `peak_activity` must equal bit for bit.
+    fn scalar_peak(net: &Netlist, start: &Bits, sequences: &[Vec<Bits>]) -> f64 {
+        sequences
+            .iter()
+            .map(|seq| simulate_sequence(net, start, seq).peak_swa())
+            .fold(0.0f64, f64::max)
+    }
+
+    #[test]
+    fn lane_peak_equals_scalar_fold_on_ragged_and_chunked_sets() {
+        use fbt_netlist::rng::Rng;
+        use fbt_netlist::synth;
+        let mut rng = Rng::new(0x5AFC);
+        let nets = [s27(), synth::generate(&synth::find("s298").unwrap())];
+        for net in &nets {
+            let mut random_seq = |len: usize| -> Vec<Bits> {
+                (0..len)
+                    .map(|_| (0..net.num_inputs()).map(|_| rng.bit()).collect())
+                    .collect()
+            };
+            // Ragged lengths, including sequences with no defined cycle.
+            let ragged: Vec<Vec<Bits>> = [0, 1, 2, 17, 0, 2].map(&mut random_seq).to_vec();
+            // 70 sequences: two chunks, the second with 6 lanes.
+            let many: Vec<Vec<Bits>> = (0..70).map(|i| random_seq(1 + i % 13)).collect();
+            // A short all-ones lane next to a long all-zeros one: the
+            // zero-driven cycle past its end toggles every input line and
+            // must not count.
+            let constant = |bit: bool, len: usize| -> Vec<Bits> {
+                vec![(0..net.num_inputs()).map(|_| bit).collect(); len]
+            };
+            let past_end = vec![constant(false, 10), constant(true, 2)];
+            let sets = [
+                ragged,
+                many,
+                past_end,
+                Vec::new(),
+                vec![Vec::new(), random_seq(1)],
+            ];
+            let start: Bits = (0..net.num_dffs()).map(|i| i % 3 == 0).collect();
+            for (k, set) in sets.iter().enumerate() {
+                let lanes = peak_activity(net, &start, set);
+                let scalar = scalar_peak(net, &start, set);
+                assert_eq!(lanes.to_bits(), scalar.to_bits(), "{} set {k}", net.name());
+            }
+        }
     }
 
     #[test]

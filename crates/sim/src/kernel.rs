@@ -18,17 +18,30 @@
 //!
 //! # Opcode format
 //!
-//! Compilation canonicalizes every gate into a fixed-size `KOp`. An
-//! inversion-absorption pass resolves each operand through NOT/BUF chains
-//! to the chain's root and folds the accumulated parity — plus the gate's
-//! own output inversion — into one of ten fused two-input superinstructions
-//! (`a&b`, `!(a&b)`, `a|b`, `!(a|b)`, `a^b`, `!(a^b)`, `a&!b`, `a|!b`,
-//! `a`, `!a`; De Morgan plus operand swapping closes the family). Gates
-//! with other arities keep a fold loop over a shared fanin pool whose
-//! entries carry the resolved inversion in bit 31. Chain resolution never
-//! changes a written value — NOT/BUF nodes still execute their own op, so
-//! the full program stays value-complete for switching-activity and
-//! observability consumers — it only shortens dependency chains.
+//! Compilation canonicalizes every gate into a fixed-size `KOp`: an
+//! operand-layout class, four flag bits, an output slot and two operand
+//! slots. Every gate kind is an AND or an XOR with complemented operands
+//! and output — OR/NOR are ANDs of complemented operands (De Morgan), and
+//! a one-input gate is the AND of its operand with itself — so the class
+//! only says where the operands are: two inline slots, or 3, 4 or any
+//! other number of entries in a shared fanin pool whose entries carry
+//! their inversion in bit 31. Kind and inversions are evaluated as masks,
+//! without a branch. An inversion-absorption pass resolves each operand
+//! through NOT/BUF chains to the chain's root and folds the accumulated
+//! parity into the operand's inversion. Chain resolution never changes a
+//! written value — NOT/BUF nodes still execute their own op, so the full
+//! program stays value-complete for switching-activity and observability
+//! consumers — it only shortens dependency chains.
+//!
+//! # Level schedule
+//!
+//! The fused program is stable-sorted by (level, class, arity), where a
+//! level is one more than the deepest operand's and sources are level 0.
+//! Ops of one level never read each other, so values are unchanged, and
+//! the interpreter's one branch — the class dispatch — switches a few
+//! times per level instead of at nearly every op. The faithful program
+//! (below) is **not** reordered: its consumer index and the pending-bitmap
+//! sweep of [`Kernel::propagate`] depend on netlist evaluation order.
 //!
 //! In three-valued evaluation a value is two rails: `v1` = "can be 1",
 //! `v0` = "can be 0" (both = X). Operand/output inversion is a rail swap,
@@ -80,109 +93,33 @@ use fbt_netlist::{GateKind, Netlist, NodeId};
 
 use crate::Trit;
 
-// Fused two-input superinstructions (operand/output inversions baked in).
-const OP_AND2: u8 = 0; // a & b
-const OP_NAND2: u8 = 1; // !(a & b)
-const OP_OR2: u8 = 2; // a | b
-const OP_NOR2: u8 = 3; // !(a | b)
-const OP_XOR2: u8 = 4; // a ^ b
-const OP_XNOR2: u8 = 5; // !(a ^ b)
-const OP_ANDN2: u8 = 6; // a & !b
-const OP_ORN2: u8 = 7; // a | !b
-const OP_MOV: u8 = 8; // a
-const OP_NOT: u8 = 9; // !a
-/// `OP_WIDE + k` = fold over pool fanins with kind code `k` (the
-/// [`GateKind`] order of [`kind_code`]); pool entries carry the resolved
-/// operand inversion in [`POOL_INV`].
-const OP_WIDE: u8 = 10;
+// Operation classes (`KOp::code`): one per operand layout. Within a
+// class, gate kind and inversions are data (`KOp::flags`), evaluated
+// without a branch.
+const OP_GATE2: u8 = 0; // operands `a`, `b` (`a == b` for one-input gates)
+const OP_GATE3: u8 = 1; // pool `[a, a + 3)`
+const OP_GATE4: u8 = 2; // pool `[a, a + 4)`
+const OP_WIDE: u8 = 3; // pool `[a, a + b)`, folded
+
+// `KOp::flags` bits.
+const F_INV_OUT: u8 = 1; // complement the result
+const F_INV_A: u8 = 2; // complement operand `a` (two-operand class)
+const F_INV_B: u8 = 4; // complement operand `b` (two-operand class)
+const F_XOR: u8 = 8; // XOR family (otherwise AND family)
+
+/// Pool operand flag: complement this operand.
 const POOL_INV: u32 = 1 << 31;
 
 /// One compiled operation: `out` is the node index written; `a`/`b` are
-/// operand node indices for the fused two-input codes, or the pool range
-/// `[a, a + b)` for wide codes.
+/// operand node indices for [`OP_GATE2`], or the pool range `[a, a + b)`
+/// for the pool classes (`code >= OP_GATE3`).
 #[derive(Debug, Clone, Copy)]
 struct KOp {
     code: u8,
+    flags: u8,
     out: u32,
     a: u32,
     b: u32,
-}
-
-fn kind_code(kind: GateKind) -> u8 {
-    match kind {
-        GateKind::And => 0,
-        GateKind::Nand => 1,
-        GateKind::Or => 2,
-        GateKind::Nor => 3,
-        GateKind::Xor => 4,
-        GateKind::Xnor => 5,
-        GateKind::Not => 6,
-        GateKind::Buf => 7,
-        GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
-    }
-}
-
-/// Canonicalize a two-input AND/OR/XOR-family gate with resolved operand
-/// inversions `ia`/`ib` and output inversion `io` into one fused op.
-fn fuse2(kind: GateKind, out: u32, (na, ia): (u32, bool), (nb, ib): (u32, bool)) -> KOp {
-    let (family_and, io) = match kind {
-        GateKind::And => (true, false),
-        GateKind::Nand => (true, true),
-        GateKind::Or => (false, false),
-        GateKind::Nor => (false, true),
-        GateKind::Xor | GateKind::Xnor => {
-            let inv = ia ^ ib ^ matches!(kind, GateKind::Xnor);
-            let code = if inv { OP_XNOR2 } else { OP_XOR2 };
-            return KOp {
-                code,
-                out,
-                a: na,
-                b: nb,
-            };
-        }
-        _ => unreachable!("fuse2 takes two-input gate kinds"),
-    };
-    // De Morgan: normalise double operand inversion into the dual family,
-    // then fold the output inversion; at most one operand inversion
-    // remains, and operand swapping pins it onto `b`.
-    let (family_and, ia, ib, io) = if ia && ib {
-        (!family_and, false, false, !io)
-    } else {
-        (family_and, ia, ib, io)
-    };
-    let (na, nb, ib) = if ia { (nb, na, true) } else { (na, nb, ib) };
-    let code = match (family_and, ib, io) {
-        (true, false, false) => OP_AND2,
-        (true, false, true) => OP_NAND2,
-        (true, true, false) => OP_ANDN2,
-        // !(a & !b) = !a | b = b | !a
-        (true, true, true) => {
-            return KOp {
-                code: OP_ORN2,
-                out,
-                a: nb,
-                b: na,
-            }
-        }
-        (false, false, false) => OP_OR2,
-        (false, false, true) => OP_NOR2,
-        (false, true, false) => OP_ORN2,
-        // !(a | !b) = !a & b = b & !a
-        (false, true, true) => {
-            return KOp {
-                code: OP_ANDN2,
-                out,
-                a: nb,
-                b: na,
-            }
-        }
-    };
-    KOp {
-        code,
-        out,
-        a: na,
-        b: nb,
-    }
 }
 
 /// Resolve `n` through NOT/BUF chains to the chain root, accumulating the
@@ -203,10 +140,15 @@ fn resolve(net: &Netlist, mut n: NodeId) -> (u32, bool) {
 }
 
 /// Compile one gate into `ops`/`pool`. With `faithful` unset, operands are
-/// resolved through NOT/BUF chains and inversions fused into the opcode;
-/// with `faithful` set, operands stay the literal fanins (the fault
-/// propagator patches arbitrary slots, and resolution would read through
-/// the patch).
+/// resolved through NOT/BUF chains and their parity folded into the
+/// operand inversions; with `faithful` set, operands stay the literal
+/// fanins (the fault propagator patches arbitrary slots, and resolution
+/// would read through the patch).
+///
+/// Every gate becomes an AND or an XOR with inverted operands and output:
+/// OR/NOR are ANDs of complemented operands (De Morgan), and a one-input
+/// gate (NOT, BUF, or any kind with a single fanin) is the AND of its
+/// operand with itself.
 fn compile_gate(
     net: &Netlist,
     faithful: bool,
@@ -224,30 +166,52 @@ fn compile_gate(
     let node = net.node(id);
     let kind = node.kind();
     let out = id.index() as u32;
-    let op = match node.fanins() {
-        // NOT/BUF are the only unary kinds; other kinds keep the fold path
-        // at any other arity, mirroring `comb::eval_gate_packed`.
-        [a] if matches!(kind, GateKind::Not | GateKind::Buf) => {
-            let (root, parity) = res(*a);
-            let inv = parity ^ matches!(kind, GateKind::Not);
+    // (XOR family, complemented operands, complemented output)
+    let (xor, inv_in, inv_out) = match kind {
+        GateKind::And | GateKind::Buf => (false, false, false),
+        GateKind::Nand | GateKind::Not => (false, false, true),
+        GateKind::Or => (false, true, true),
+        GateKind::Nor => (false, true, false),
+        GateKind::Xor => (true, false, false),
+        GateKind::Xnor => (true, false, true),
+        GateKind::Input | GateKind::Dff => unreachable!("sources are not evaluated"),
+    };
+    let fanins = node.fanins();
+    // NOT/BUF read their first fanin, mirroring `comb::eval_gate_packed`;
+    // a one-input XOR is its operand, so it joins the AND family.
+    let (fanins, xor) = if matches!(kind, GateKind::Not | GateKind::Buf) || fanins.len() == 1 {
+        (&fanins[..1], false)
+    } else {
+        (fanins, xor)
+    };
+    let mut flags = if xor { F_XOR } else { 0 } | if inv_out { F_INV_OUT } else { 0 };
+    let op = match fanins {
+        // A one-input gate reads its operand twice.
+        [a] | [a, _] => {
+            let (na, pa) = res(*a);
+            let (nb, pb) = res(fanins[fanins.len() - 1]);
+            flags |= if pa ^ inv_in { F_INV_A } else { 0 } | if pb ^ inv_in { F_INV_B } else { 0 };
             KOp {
-                code: if inv { OP_NOT } else { OP_MOV },
+                code: OP_GATE2,
+                flags,
                 out,
-                a: root,
-                b: 0,
+                a: na,
+                b: nb,
             }
-        }
-        [a, b] if !matches!(kind, GateKind::Not | GateKind::Buf) => {
-            fuse2(kind, out, res(*a), res(*b))
         }
         many => {
             let start = pool.len() as u32;
             pool.extend(many.iter().map(|&f| {
                 let (root, parity) = res(f);
-                root | if parity { POOL_INV } else { 0 }
+                root | if parity ^ inv_in { POOL_INV } else { 0 }
             }));
             KOp {
-                code: OP_WIDE + kind_code(kind),
+                code: match many.len() {
+                    3 => OP_GATE3,
+                    4 => OP_GATE4,
+                    _ => OP_WIDE,
+                },
+                flags,
                 out,
                 a: start,
                 b: many.len() as u32,
@@ -259,52 +223,120 @@ fn compile_gate(
 
 /// Call `f` with each operand node an op reads (pool inversions masked).
 fn for_each_operand(op: &KOp, pool: &[u32], mut f: impl FnMut(u32)) {
-    if op.code >= OP_WIDE {
+    if op.code == OP_GATE2 {
+        f(op.a);
+        if op.b != op.a {
+            f(op.b);
+        }
+    } else {
         for &p in &pool[op.a as usize..(op.a + op.b) as usize] {
             f(p & !POOL_INV);
         }
-    } else if op.code >= OP_MOV {
-        f(op.a);
-    } else {
-        f(op.a);
-        f(op.b);
     }
 }
 
-/// Evaluate one op over packed two-valued words (shared by the program
-/// runner and the event-driven fault propagator).
-#[inline]
+/// One pool operand's value: the root's word, complemented when the entry
+/// carries [`POOL_INV`] (all-ones mask from the top bit, no branch).
+#[inline(always)]
+fn pool_word(vals: &[u64], f: u32) -> u64 {
+    vals[(f & !POOL_INV) as usize] ^ 0u64.wrapping_sub(u64::from(f >> 31))
+}
+
+/// The AND and XOR of the `N` operand words of a fixed-arity pool op.
+#[inline(always)]
+fn pool_and_xor<const N: usize>(op: &KOp, pool: &[u32], vals: &[u64]) -> (u64, u64) {
+    let fanins = &pool[op.a as usize..op.a as usize + N];
+    let w: [u64; N] = std::array::from_fn(|i| pool_word(vals, fanins[i]));
+    (
+        w.into_iter().fold(!0, |a, v| a & v),
+        w.into_iter().fold(0, |a, v| a ^ v),
+    )
+}
+
+/// Evaluate one op over packed two-valued words — the one two-valued
+/// interpreter, shared by the program runner and the event-driven fault
+/// propagator. Dispatch is on the operand layout only; kind and
+/// inversions are masks, so a scheduled program (see [`schedule`]) takes
+/// a few predictable branches per level. Always inlined: a call per op
+/// costs more than the op.
+#[inline(always)]
 fn eval_op2(op: &KOp, pool: &[u32], vals: &[u64]) -> u64 {
-    if op.code < OP_WIDE {
-        let a = vals[op.a as usize];
-        match op.code {
-            OP_AND2 => a & vals[op.b as usize],
-            OP_NAND2 => !(a & vals[op.b as usize]),
-            OP_OR2 => a | vals[op.b as usize],
-            OP_NOR2 => !(a | vals[op.b as usize]),
-            OP_XOR2 => a ^ vals[op.b as usize],
-            OP_XNOR2 => !(a ^ vals[op.b as usize]),
-            OP_ANDN2 => a & !vals[op.b as usize],
-            OP_ORN2 => a | !vals[op.b as usize],
-            OP_MOV => a,
-            _ => !a,
+    let [inv_out, inv_a, inv_b, xor_family] = MASKS[usize::from(op.flags & 15)];
+    let (and, xor) = match op.code {
+        OP_GATE2 => {
+            let x = vals[op.a as usize] ^ inv_a;
+            let y = vals[op.b as usize] ^ inv_b;
+            (x & y, x ^ y)
         }
-    } else {
-        let fanins = &pool[op.a as usize..(op.a + op.b) as usize];
-        let mut it = fanins
-            .iter()
-            .map(|&f| vals[(f & !POOL_INV) as usize] ^ if f & POOL_INV != 0 { !0 } else { 0 });
-        match op.code - OP_WIDE {
-            0 => it.fold(!0u64, |a, v| a & v),
-            1 => !it.fold(!0u64, |a, v| a & v),
-            2 => it.fold(0u64, |a, v| a | v),
-            3 => !it.fold(0u64, |a, v| a | v),
-            4 => it.fold(0u64, |a, v| a ^ v),
-            5 => !it.fold(0u64, |a, v| a ^ v),
-            6 => !it.next().expect("NOT has a fanin"),
-            _ => it.next().expect("BUF has a fanin"),
+        OP_GATE3 => pool_and_xor::<3>(op, pool, vals),
+        OP_GATE4 => pool_and_xor::<4>(op, pool, vals),
+        _ => {
+            pool[op.a as usize..(op.a + op.b) as usize]
+                .iter()
+                .fold((!0u64, 0u64), |(a, x), &f| {
+                    let w = pool_word(vals, f);
+                    (a & w, x ^ w)
+                })
         }
+    };
+    ((and & !xor_family) | (xor & xor_family)) ^ inv_out
+}
+
+/// `MASKS[flags][k]` is all-ones if `flags` has bit `k` set: the
+/// [`F_INV_OUT`], [`F_INV_A`], [`F_INV_B`] and [`F_XOR`] masks of an op,
+/// fetched with one table index instead of a branch per flag.
+static MASKS: [[u64; 4]; 16] = {
+    let mut t = [[0u64; 4]; 16];
+    let mut f = 0;
+    while f < 16 {
+        let mut k = 0;
+        while k < 4 {
+            if f & (1 << k) != 0 {
+                t[f][k] = !0;
+            }
+            k += 1;
+        }
+        f += 1;
     }
+    t
+};
+
+/// Reorder a fused program by (level, opcode, arity), stably. An op's level
+/// is one more than the highest level among its operands; sources are level
+/// 0. Ops of one level never read each other, so every order that keeps
+/// levels ascending computes the same values — and grouping equal opcodes
+/// makes the interpreter's dispatch predictable. Odd levels list the
+/// opcodes in reverse, so a level ends with the class the next one starts
+/// with. The pool is rewritten in the new op order so pool reads stay
+/// sequential.
+fn schedule(num_nodes: usize, ops: &[KOp], pool: &[u32]) -> (Vec<KOp>, Vec<u32>) {
+    let mut level = vec![0u32; num_nodes];
+    let mut keyed: Vec<(u32, u8, u32, usize)> = ops
+        .iter()
+        .enumerate()
+        .map(|(i, op)| {
+            let mut l = 0;
+            for_each_operand(op, pool, |n| l = l.max(level[n as usize]));
+            level[op.out as usize] = l + 1;
+            let arity = if op.code >= OP_GATE3 { op.b } else { 0 };
+            (l + 1, op.code, arity, i)
+        })
+        .collect();
+    keyed.sort_by_key(|&(l, code, arity, _)| {
+        (l, if l % 2 == 1 { OP_WIDE - code } else { code }, arity)
+    });
+    let mut sched = Vec::with_capacity(ops.len());
+    let mut spool = Vec::with_capacity(pool.len());
+    for &(.., i) in &keyed {
+        let mut op = ops[i];
+        if op.code >= OP_GATE3 {
+            let start = spool.len() as u32;
+            spool.extend_from_slice(&pool[op.a as usize..(op.a + op.b) as usize]);
+            op.a = start;
+        }
+        sched.push(op);
+    }
+    (sched, spool)
 }
 
 /// Run a compiled program over packed two-valued words.
@@ -322,15 +354,13 @@ fn rails_and(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
     (a.0 & b.0, a.1 | b.1)
 }
 #[inline]
-fn rails_or(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
-    (a.0 | b.0, a.1 & b.1)
-}
-#[inline]
 fn rails_xor(a: (u64, u64), b: (u64, u64)) -> (u64, u64) {
     ((a.0 & b.1) | (a.1 & b.0), (a.0 & b.0) | (a.1 & b.1))
 }
 
-/// Run a compiled program over dual-rail three-valued words.
+/// Run a compiled program over dual-rail three-valued words. Operand and
+/// output inversions are rail swaps, so the two-valued program serves this
+/// domain unchanged.
 fn run3(ops: &[KOp], pool: &[u32], v1: &mut [u64], v0: &mut [u64]) {
     #[inline]
     fn read(v1: &[u64], v0: &[u64], idx: usize, inv: bool) -> (u64, u64) {
@@ -341,39 +371,33 @@ fn run3(ops: &[KOp], pool: &[u32], v1: &mut [u64], v0: &mut [u64]) {
         }
     }
     for op in ops {
-        let out = if op.code < OP_WIDE {
-            let a = read(v1, v0, op.a as usize, false);
-            let b = read(v1, v0, op.b as usize, false);
-            match op.code {
-                OP_AND2 => rails_and(a, b),
-                OP_NAND2 => swap(rails_and(a, b)),
-                OP_OR2 => rails_or(a, b),
-                OP_NOR2 => swap(rails_or(a, b)),
-                OP_XOR2 => rails_xor(a, b),
-                OP_XNOR2 => swap(rails_xor(a, b)),
-                OP_ANDN2 => rails_and(a, swap(b)),
-                OP_ORN2 => rails_or(a, swap(b)),
-                OP_MOV => a,
-                _ => swap(a),
-            }
-        } else {
-            let fanins = &pool[op.a as usize..(op.a + op.b) as usize];
-            let mut it = fanins
-                .iter()
-                .map(|&f| read(v1, v0, (f & !POOL_INV) as usize, f & POOL_INV != 0));
-            match op.code - OP_WIDE {
-                0 => it.fold((!0u64, 0u64), rails_and),
-                1 => swap(it.fold((!0u64, 0u64), rails_and)),
-                2 => it.fold((0u64, !0u64), rails_or),
-                3 => swap(it.fold((0u64, !0u64), rails_or)),
-                4 => it.fold((0u64, !0u64), rails_xor),
-                5 => swap(it.fold((0u64, !0u64), rails_xor)),
-                6 => swap(it.next().expect("NOT has a fanin")),
-                _ => it.next().expect("BUF has a fanin"),
+        // The fold unit is constant 1 for the AND family, 0 for XOR.
+        let xor = op.flags & F_XOR != 0;
+        let unit = if xor { (0, !0) } else { (!0, 0) };
+        let combine = |a, b| {
+            if xor {
+                rails_xor(a, b)
+            } else {
+                rails_and(a, b)
             }
         };
-        v1[op.out as usize] = out.0;
-        v0[op.out as usize] = out.1;
+        let r = if op.code == OP_GATE2 {
+            let a = read(v1, v0, op.a as usize, op.flags & F_INV_A != 0);
+            let b = read(v1, v0, op.b as usize, op.flags & F_INV_B != 0);
+            combine(a, b)
+        } else {
+            pool[op.a as usize..(op.a + op.b) as usize]
+                .iter()
+                .map(|&f| read(v1, v0, (f & !POOL_INV) as usize, f & POOL_INV != 0))
+                .fold(unit, combine)
+        };
+        let r = if op.flags & F_INV_OUT != 0 {
+            swap(r)
+        } else {
+            r
+        };
+        v1[op.out as usize] = r.0;
+        v0[op.out as usize] = r.1;
     }
 }
 
@@ -402,11 +426,14 @@ pub struct FaultProp {
 pub struct Kernel {
     digest: u128,
     num_nodes: usize,
-    /// Fused program: chain-resolved operands, inversion-absorbing opcodes.
+    /// Fused program: chain-resolved operands, inversion-absorbing opcodes,
+    /// scheduled by (level, opcode, arity).
     ops: Vec<KOp>,
     pool: Vec<u32>,
-    /// Faithful program: literal fanins, same op order — fault propagation
-    /// must see patched slots that resolution would read through.
+    /// Faithful program: literal fanins, in netlist evaluation order —
+    /// fault propagation must see patched slots that resolution would read
+    /// through, and its pending-bitmap sweep and consumer index rely on
+    /// this order.
     fprog: Vec<KOp>,
     fpool: Vec<u32>,
     /// Consumer index (CSR): `cons[cons_start[n]..cons_start[n + 1]]` are
@@ -428,6 +455,7 @@ impl Kernel {
             compile_gate(net, false, id, &mut ops, &mut pool);
             compile_gate(net, true, id, &mut fprog, &mut fpool);
         }
+        let (ops, pool) = schedule(net.num_nodes(), &ops, &pool);
         // Consumer CSR over the faithful program (counting pass, prefix
         // sums, fill pass) — per-node lists come out in program order.
         let mut cons_start = vec![0u32; net.num_nodes() + 1];
@@ -765,9 +793,16 @@ pub fn structural_digest(net: &Netlist) -> u128 {
 
 fn kind_tag(kind: GateKind) -> u64 {
     match kind {
+        GateKind::And => 0,
+        GateKind::Nand => 1,
+        GateKind::Or => 2,
+        GateKind::Nor => 3,
+        GateKind::Xor => 4,
+        GateKind::Xnor => 5,
+        GateKind::Not => 6,
+        GateKind::Buf => 7,
         GateKind::Input => 100,
         GateKind::Dff => 101,
-        other => kind_code(other) as u64,
     }
 }
 
@@ -1035,6 +1070,52 @@ mod tests {
         assert!(faithful_chain_reads > 0, "s27 has inverter chains");
         assert_eq!(kernel.num_ops(), net.eval_order().len());
         assert_eq!(kernel.fprog.len(), net.eval_order().len());
+    }
+
+    #[test]
+    fn schedule_reads_only_sources_and_earlier_outputs() {
+        // The level schedule may move an op anywhere after its operands'
+        // producers, never before: every operand must be a source or the
+        // output of an op earlier in the scheduled program, levels must not
+        // decrease, and every gate must still be written exactly once.
+        let mut nets = random_nets(4, 0x5C4E);
+        nets.push(s27());
+        nets.push(synth::generate(&synth::find("s1196").unwrap()));
+        for net in nets {
+            let kernel = Kernel::build(&net);
+            let mut ready = vec![false; net.num_nodes()];
+            let mut level = vec![0u32; net.num_nodes()];
+            for &id in net.inputs().iter().chain(net.dffs()) {
+                ready[id.index()] = true;
+            }
+            let mut last = 0;
+            for (i, op) in kernel.ops.iter().enumerate() {
+                let mut l = 0;
+                for_each_operand(op, &kernel.pool, |n| {
+                    assert!(
+                        ready[n as usize],
+                        "{} op {i} reads node {n} early",
+                        net.name()
+                    );
+                    l = l.max(level[n as usize]);
+                });
+                assert!(
+                    !ready[op.out as usize],
+                    "{} node {} written twice",
+                    net.name(),
+                    op.out
+                );
+                ready[op.out as usize] = true;
+                level[op.out as usize] = l + 1;
+                assert!(l + 1 >= last, "{} levels decrease at op {i}", net.name());
+                last = l + 1;
+            }
+            assert!(
+                ready.iter().all(|&r| r),
+                "{} left a node unwritten",
+                net.name()
+            );
+        }
     }
 
     #[test]

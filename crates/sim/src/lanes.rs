@@ -7,11 +7,14 @@
 //! paper's Chapter 4 all expand from the same committed circuit state) and
 //! then diverge under per-lane primary-input sequences.
 //!
-//! Per-lane switching activity is computed with bit-sliced vertical
-//! counters, so the cost per cycle is `O(nodes · log nodes / 64)` words of
-//! work for all lanes together, and the resulting per-lane values are
-//! bit-identical to the scalar [`crate::seq::SeqSim`] (`toggles as f64 /
-//! num_nodes as f64`, undefined on the first cycle after a state load).
+//! Per-lane switching activity is counted in bit-sliced vertical counters
+//! fed by a Harley–Seal carry-save tree: sixteen toggle words reduce to
+//! ones/twos/fours/eights accumulators plus one carry word, and only that
+//! carry ripples into the higher counter planes. The cost per cycle is
+//! `O(nodes / 64)` words of branch-free work for all lanes together, and
+//! the per-lane values are bit-identical to the scalar
+//! [`crate::seq::SeqSim`] (`toggles as f64 / num_nodes as f64`, undefined
+//! on the first cycle after a state load).
 //!
 //! # Example
 //!
@@ -58,12 +61,14 @@ pub struct LaneSeqSim<'a> {
     vals: Vec<u64>,
     prev_vals: Vec<u64>,
     have_prev: bool,
-    /// Vertical ripple-carry counters: `counters[k]` holds bit `k` of every
-    /// lane's toggle count for the current cycle.
+    /// Vertical counter planes: `counters[k]` holds bit `k` of every lane's
+    /// toggle count for the current cycle (see [`count_toggles`]).
     counters: Vec<u64>,
     swa: Vec<f64>,
     swa_ready: bool,
     out_words: Vec<u64>,
+    /// Node index of each flip-flop's D input, in `net.dffs()` order.
+    d_inputs: Vec<u32>,
 }
 
 impl<'a> LaneSeqSim<'a> {
@@ -76,8 +81,6 @@ impl<'a> LaneSeqSim<'a> {
     /// Panics if `lanes` is 0 or greater than 64.
     pub fn new(net: &'a Netlist, lanes: usize) -> Self {
         assert!((1..=64).contains(&lanes), "lanes must be in 1..=64");
-        // Enough vertical counter bits to count a toggle on every node.
-        let levels = (usize::BITS - net.num_nodes().leading_zeros()) as usize;
         LaneSeqSim {
             net,
             kernel: Kernel::for_netlist(net),
@@ -86,10 +89,15 @@ impl<'a> LaneSeqSim<'a> {
             vals: vec![0; net.num_nodes()],
             prev_vals: vec![0; net.num_nodes()],
             have_prev: false,
-            counters: vec![0; levels],
+            counters: vec![0; counter_planes(net.num_nodes())],
             swa: vec![0.0; lanes],
             swa_ready: false,
             out_words: vec![0; net.num_outputs()],
+            d_inputs: net
+                .dffs()
+                .iter()
+                .map(|&d| net.node(d).fanins()[0].index() as u32)
+                .collect(),
         }
     }
 
@@ -185,7 +193,7 @@ impl<'a> LaneSeqSim<'a> {
         self.kernel.eval2(&mut self.vals);
 
         if self.have_prev {
-            self.count_toggles();
+            count_toggles(&self.prev_vals, &self.vals, &mut self.counters);
             let nodes = net.num_nodes() as f64;
             for l in 0..self.lanes {
                 let mut count = 0usize;
@@ -202,84 +210,96 @@ impl<'a> LaneSeqSim<'a> {
         for (w, &o) in self.out_words.iter_mut().zip(net.outputs()) {
             *w = self.vals[o.index()];
         }
-        for (i, &id) in net.dffs().iter().enumerate() {
+        for (i, &d) in self.d_inputs.iter().enumerate() {
             if hold.is_some_and(|h| h.get(i)) {
                 continue; // held flip-flop keeps its state word
             }
-            self.state[i] = self.vals[net.node(id).fanins()[0].index()];
+            self.state[i] = self.vals[d as usize];
         }
         std::mem::swap(&mut self.prev_vals, &mut self.vals);
         self.have_prev = true;
     }
+}
 
-    /// Accumulate `prev_vals ^ vals` into the vertical counters: after the
-    /// loop, lane `l`'s toggle count is `Σ_k ((counters[k] >> l) & 1) << k`.
-    ///
-    /// Toggle words are folded four at a time through carry-save adders
-    /// (exact: `s + 2c` preserves the column sums), so only every fourth
-    /// node reaches the rippled counter levels above `twos`.
-    fn count_toggles(&mut self) {
-        #[inline]
-        fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
-            let u = a ^ b;
-            (u ^ c, (a & b) | (u & c))
-        }
-        for c in &mut self.counters {
-            *c = 0;
-        }
-        let (mut ones, mut twos) = (0u64, 0u64);
-        let high = if self.counters.len() >= 2 {
-            &mut self.counters[2..]
-        } else {
-            &mut []
-        };
-        for (p4, v4) in self
-            .prev_vals
-            .chunks_exact(4)
-            .zip(self.vals.chunks_exact(4))
-        {
-            let (s1, c1) = csa(p4[0] ^ v4[0], p4[1] ^ v4[1], p4[2] ^ v4[2]);
-            let (s2, c2) = csa(s1, p4[3] ^ v4[3], ones);
-            ones = s2;
-            let (s3, mut carry) = csa(c1, c2, twos);
-            twos = s3;
-            for c in high.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let next = *c & carry;
-                *c ^= carry;
-                carry = next;
-            }
-            debug_assert_eq!(carry, 0, "toggle counter overflow");
-        }
-        let tail = self.prev_vals.len() - self.prev_vals.len() % 4;
-        for (p, v) in self.prev_vals[tail..].iter().zip(&self.vals[tail..]) {
-            let mut carry = p ^ v;
-            let next = ones & carry;
-            ones ^= carry;
+/// Vertical counter planes needed to count up to `nodes` toggles per lane:
+/// the bit width of `nodes`, and at least the four Harley–Seal
+/// accumulators.
+fn counter_planes(nodes: usize) -> usize {
+    ((usize::BITS - nodes.leading_zeros()) as usize).max(4)
+}
+
+/// Carry-save adder: `(sum, carry)` with `a + b + c = sum + 2·carry` per
+/// bit column.
+#[inline(always)]
+fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
+    let u = a ^ b;
+    (u ^ c, (a & b) | (u & c))
+}
+
+/// Count, per lane, the words where `prev` and `cur` differ: afterwards
+/// lane `l`'s count is `Σ_k ((counters[k] >> l) & 1) << k`.
+///
+/// A Harley–Seal tree folds each block of sixteen toggle words into the
+/// ones/twos/fours/eights accumulators (`counters[0..4]`) and emits one
+/// sixteens word, which ripples through the higher planes once per block
+/// with no data-dependent exit. A ragged tail is padded with zero words.
+/// Every column sum is preserved exactly, so a carry out of the top plane
+/// means `counters` is too narrow for `prev.len()`; that is checked in
+/// every build.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length, if `counters` has fewer than
+/// four planes, or if a lane's count does not fit in `counters` (never
+/// with [`counter_planes`]`(prev.len())` planes).
+fn count_toggles(prev: &[u64], cur: &[u64], counters: &mut [u64]) {
+    assert_eq!(prev.len(), cur.len(), "toggle word count mismatch");
+    assert!(counters.len() >= 4, "Harley–Seal needs four low planes");
+    let (low, high) = counters.split_at_mut(4);
+    high.fill(0);
+    let [mut ones, mut twos, mut fours, mut eights] = [0u64; 4];
+    let mut overflow = 0u64;
+    let mut block = |t: [u64; 16]| {
+        let (o, twos_a) = csa(ones, t[0], t[1]);
+        let (o, twos_b) = csa(o, t[2], t[3]);
+        let (tw, fours_a) = csa(twos, twos_a, twos_b);
+        let (o, twos_a) = csa(o, t[4], t[5]);
+        let (o, twos_b) = csa(o, t[6], t[7]);
+        let (tw, fours_b) = csa(tw, twos_a, twos_b);
+        let (f, eights_a) = csa(fours, fours_a, fours_b);
+        let (o, twos_a) = csa(o, t[8], t[9]);
+        let (o, twos_b) = csa(o, t[10], t[11]);
+        let (tw, fours_a) = csa(tw, twos_a, twos_b);
+        let (o, twos_a) = csa(o, t[12], t[13]);
+        let (o, twos_b) = csa(o, t[14], t[15]);
+        let (tw, fours_b) = csa(tw, twos_a, twos_b);
+        let (f, eights_b) = csa(f, fours_a, fours_b);
+        let (e, mut carry) = csa(eights, eights_a, eights_b);
+        (ones, twos, fours, eights) = (o, tw, f, e);
+        for c in high.iter_mut() {
+            let next = *c & carry;
+            *c ^= carry;
             carry = next;
-            let next = twos & carry;
-            twos ^= carry;
-            carry = next;
-            for c in high.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let next = *c & carry;
-                *c ^= carry;
-                carry = next;
-            }
-            debug_assert_eq!(carry, 0, "toggle counter overflow");
         }
-        if let [c0, c1, ..] = &mut self.counters[..] {
-            *c0 = ones;
-            *c1 = twos;
-        } else if let [c0] = &mut self.counters[..] {
-            *c0 = ones;
-            debug_assert_eq!(twos, 0, "toggle counter overflow");
-        }
+        overflow |= carry;
+    };
+    let mut p16 = prev.chunks_exact(16);
+    let mut c16 = cur.chunks_exact(16);
+    for (p, c) in p16.by_ref().zip(c16.by_ref()) {
+        block(std::array::from_fn(|i| p[i] ^ c[i]));
     }
+    let (p, c) = (p16.remainder(), c16.remainder());
+    if !p.is_empty() {
+        block(std::array::from_fn(|i| {
+            if i < p.len() {
+                p[i] ^ c[i]
+            } else {
+                0
+            }
+        }));
+    }
+    assert_eq!(overflow, 0, "toggle counter overflow");
+    low.copy_from_slice(&[ones, twos, fours, eights]);
 }
 
 fn lanes_mask(lanes: usize) -> u64 {
@@ -430,6 +450,62 @@ mod tests {
         sim.broadcast_state(&Bits::from_str01("111"));
         sim.step(&pis, None);
         assert!(sim.swa().is_none(), "history cleared by state load");
+    }
+
+    #[test]
+    fn harley_seal_counter_matches_naive_popcount() {
+        // Every tail length (`n mod 16`), the plane-width edges `2^k - 1`,
+        // `2^k`, `2^k + 1`, and three word patterns: every lane toggling on
+        // every node (the largest count a width must hold), random words,
+        // and a sparse mix.
+        let mut sizes: Vec<usize> = (1..=40).collect();
+        for k in 1..=12 {
+            sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        let mut rng = Rng::new(0x4A11);
+        for n in sizes {
+            let planes = counter_planes(n);
+            assert!(n < 1 << planes, "{planes} planes cannot hold {n}");
+            for pattern in 0..3 {
+                let prev: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+                let cur: Vec<u64> = prev
+                    .iter()
+                    .map(|&p| match pattern {
+                        0 => !p,
+                        1 => rng.next_u64(),
+                        _ => p ^ (rng.next_u64() & rng.next_u64() & rng.next_u64()),
+                    })
+                    .collect();
+                let mut counters = vec![!0u64; planes];
+                count_toggles(&prev, &cur, &mut counters);
+                for lane in 0..64 {
+                    let naive = prev
+                        .iter()
+                        .zip(&cur)
+                        .filter(|(p, c)| ((*p ^ *c) >> lane) & 1 == 1)
+                        .count();
+                    let counted: usize = counters
+                        .iter()
+                        .enumerate()
+                        .map(|(k, &c)| (((c >> lane) & 1) as usize) << k)
+                        .sum();
+                    assert_eq!(counted, naive, "n={n} pattern={pattern} lane={lane}");
+                    if pattern == 0 {
+                        assert_eq!(counted, n, "all-toggling n={n} lane={lane}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "toggle counter overflow")]
+    fn harley_seal_counter_rejects_too_few_planes() {
+        // 16 toggles per lane need five planes; four must trip the
+        // overflow check in every build profile.
+        let prev = vec![0u64; 16];
+        let cur = vec![!0u64; 16];
+        count_toggles(&prev, &cur, &mut [0u64; 4]);
     }
 
     #[test]

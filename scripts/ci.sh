@@ -251,9 +251,12 @@ echo "== compiled kernels (18-circuit builds + compiled-vs-interpreter golden) =
 # gate-walking interpreter on values, detections, per-lane SWA and every
 # outcome field. For fault simulation the pin is the compiled
 # PackedParallelSim against the interpreter oracle SerialSim, including the
-# s27 grouped fixture at batch {1, 4, 16}.
+# s27 grouped fixture at batch {1, 4, 16}. kprof repeats the value and
+# lane-pass checks on the full-size s35932, 8x larger than any circuit in
+# the differential suites.
 cargo test --release -q -p fbt-sim --test kernel_differential
 cargo test --release -q -p fbt-fault --test compiled_kernel
+cargo run --release -q -p fbt-sim --example kprof
 
 echo "== golden Chapter-4 outcomes (bit-identity vs committed fixtures) =="
 # The three generation modes must reproduce the committed pre-engine
